@@ -32,6 +32,7 @@ import (
 	"time"
 
 	"repro/internal/chaoslab"
+	"repro/internal/metrics"
 	"repro/reissue"
 	"repro/reissue/hedge/fault"
 )
@@ -52,11 +53,6 @@ type options struct {
 	breakerCooldown  float64 // model-ms
 	attemptTimeout   float64 // model-ms, 0 = none
 }
-
-// rateTolerance is the sim-vs-live agreement band the sweep flags
-// divergences against — the same band TestChaosSimLiveAgreement
-// enforces.
-const rateTolerance = 0.025
 
 // point carries one sweep point's two-world measurements.
 type point struct {
@@ -159,7 +155,7 @@ func run(o options, w io.Writer) ([]point, error) {
 				pt.sim = sim
 				pt.failDiff = math.Abs(live.FailureRate - sim.FailureRate)
 				pt.reissueDiff = math.Abs(live.ReissueRate - sim.ReissueRate)
-				pt.agree = pt.failDiff <= rateTolerance && pt.reissueDiff <= rateTolerance
+				pt.agree = pt.failDiff <= metrics.AgreementBand && pt.reissueDiff <= metrics.AgreementBand
 				verdict := "agree"
 				if !pt.agree {
 					verdict = "DIVERGE"
@@ -170,7 +166,7 @@ func run(o options, w io.Writer) ([]point, error) {
 					fmt.Fprintf(w, "  sim breaker:  trips %v  tripped %v\n", sim.BreakerTrips, sim.BreakerTripped)
 				}
 				fmt.Fprintf(w, "  cross-validation: %s (|failure d| %.4f, |reissue d| %.4f, band %.3f)\n",
-					verdict, pt.failDiff, pt.reissueDiff, rateTolerance)
+					verdict, pt.failDiff, pt.reissueDiff, metrics.AgreementBand)
 			} else {
 				pt.agree = true
 				pt.failDiff, pt.reissueDiff = math.NaN(), math.NaN()
@@ -186,7 +182,7 @@ func run(o options, w io.Writer) ([]point, error) {
 			}
 		}
 		fmt.Fprintf(w, "sweep summary: %d/%d points agree sim-vs-live within %.3f\n",
-			agreed, len(pts), rateTolerance)
+			agreed, len(pts), metrics.AgreementBand)
 	}
 	return pts, nil
 }

@@ -24,14 +24,11 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/inference"
+	"repro/internal/metrics"
 	"repro/internal/sched"
 	"repro/reissue"
 	"repro/reissue/hedge/backend"
 )
-
-// rateTolerance is the sim-vs-live reissue-rate agreement band, the
-// same band the chaos harness and the backend agreement tests use.
-const rateTolerance = 0.025
 
 type options struct {
 	batchSizes string
@@ -126,7 +123,7 @@ func run(o options, w io.Writer) ([]point, error) {
 			}
 		}
 		fmt.Fprintf(w, "sweep summary: %d/%d points agree sim-vs-live within %.3f\n",
-			agreed, len(pts), rateTolerance)
+			agreed, len(pts), metrics.AgreementBand)
 	}
 	return pts, nil
 }
@@ -180,7 +177,7 @@ func runPoint(o options, wl *inference.Workload, pol reissue.Policy, size int, u
 		pt.simP50, pt.simP99 = sim.TailLatency(0.50), sim.TailLatency(0.99)
 		pt.simReissue = sim.ReissueRate
 		pt.reissueDiff = math.Abs(pt.liveReissue - pt.simReissue)
-		pt.agree = pt.reissueDiff <= rateTolerance
+		pt.agree = pt.reissueDiff <= metrics.AgreementBand
 		verdict := "agree"
 		if !pt.agree {
 			verdict = "DIVERGE"
@@ -188,7 +185,7 @@ func runPoint(o options, wl *inference.Workload, pol reissue.Policy, size int, u
 		fmt.Fprintf(w, "  sim:  reissue %.4f  p50 %.1f ms  p99 %.1f ms\n",
 			pt.simReissue, pt.simP50, pt.simP99)
 		fmt.Fprintf(w, "  cross-validation: %s (|reissue d| %.4f, band %.3f)\n",
-			verdict, pt.reissueDiff, rateTolerance)
+			verdict, pt.reissueDiff, metrics.AgreementBand)
 	}
 	return pt, nil
 }

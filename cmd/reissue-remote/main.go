@@ -60,11 +60,6 @@ type options struct {
 	multi    bool
 }
 
-// rateTolerance is the fixed-policy reissue-rate agreement band, in
-// absolute rate — the same tolerance the in-process sim-vs-live
-// agreement test uses.
-const rateTolerance = 0.025
-
 // summary carries the demo's headline measurements out of run for
 // the tests to assert on.
 type summary struct {
@@ -376,7 +371,7 @@ func runMultipleR(ctx context.Context, o options, out io.Writer, client *transpo
 // simulator: the same effective service-time trace (the nominal trace
 // through the machine's measured sleep response), arrival rate,
 // heterogeneity, and policies. The fixed policy's reissue rate must
-// agree across the process boundary within rateTolerance.
+// agree across the process boundary within metrics.AgreementBand.
 func crossValidate(o options, out io.Writer, back *backend.Cluster, speeds []float64,
 	lambda, overheadMS float64, fixedPol, pol reissue.SingleR, s *summary) error {
 
@@ -420,8 +415,8 @@ func crossValidate(o options, out io.Writer, back *backend.Cluster, speeds []flo
 
 	diff := math.Abs(s.fixedLiveRate - s.fixedSimRate)
 	fmt.Fprintf(out, "\nfixed-policy reissue rate: remote %.4f vs simulator %.4f — |diff| %.4f (tolerance %.3f)\n",
-		s.fixedLiveRate, s.fixedSimRate, diff, rateTolerance)
-	if diff > rateTolerance {
+		s.fixedLiveRate, s.fixedSimRate, diff, metrics.AgreementBand)
+	if diff > metrics.AgreementBand {
 		fmt.Fprintln(out, "WARNING: remote and simulated reissue rates disagree beyond tolerance")
 	} else {
 		fmt.Fprintln(out, "remote and simulated reissue rates agree within tolerance")

@@ -5,6 +5,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"repro/internal/metrics"
 )
 
 // fast returns options scaled down for a smoke run: few queries, a
@@ -105,7 +107,7 @@ func TestRemoteSimAgreement(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Log(buf.String())
-	if d := math.Abs(s.fixedLiveRate - s.fixedSimRate); d > rateTolerance {
+	if d := math.Abs(s.fixedLiveRate - s.fixedSimRate); d > metrics.AgreementBand {
 		t.Errorf("fixed-policy reissue rates differ by %.4f across the transport: remote=%.4f sim=%.4f",
 			d, s.fixedLiveRate, s.fixedSimRate)
 	}

@@ -6,9 +6,9 @@
 // sub-query independently, and sweeps the shard count — showing how
 // the end-to-end (max-over-shards) tail degrades with S under no
 // hedging and how a small per-shard reissue budget wins it back
-// super-linearly. Each swept topology is cross-validated against the
-// sharded cluster simulator on the per-shard effective service-time
-// traces at the same load.
+// super-linearly. Each swept topology is cross-validated against its
+// simulator twin — a shard node of internal/cluster.Graph — on the
+// per-shard effective service-time traces at the same load.
 //
 // Examples:
 //
@@ -35,6 +35,7 @@ import (
 	"repro/internal/kvstore"
 	"repro/internal/metrics"
 	"repro/internal/searchengine"
+	"repro/internal/stats"
 	"repro/internal/sweep"
 	"repro/reissue"
 	"repro/reissue/hedge/backend"
@@ -58,10 +59,6 @@ type options struct {
 	workers  int
 	progress bool
 }
-
-// rateTolerance is the fixed-policy reissue-rate agreement band —
-// the same tolerance the in-process and sharded agreement tests use.
-const rateTolerance = 0.025
 
 // fixedPol is the rate-anchor policy for live-vs-sim agreement: a
 // moderate delay in the dense region of the per-shard response-time
@@ -284,37 +281,65 @@ func runPoint(o options, out io.Writer, S int, unit time.Duration, minMS float64
 		hedged.MeanRate, o.budget, fixed.MeanRate)
 
 	if o.sim {
-		sources := make([]cluster.ServiceSource, S)
+		// The sharded deployment's twin: one leaf fleet per shard
+		// under a shard node, every leaf replaying the shared
+		// arrivals, with shard s > 0's streams salted as shard.New
+		// salts its coins.
+		children := make([]cluster.GraphNode, S)
 		for s := range simTraces {
-			sources[s] = &cluster.TraceSource{Times: simTraces[s]}
-		}
-		sim, err := cluster.NewSharded(cluster.ShardedConfig{
-			Base: cluster.Config{
+			cfg := cluster.Config{
 				Servers:      o.replicas,
 				ArrivalRate:  lambda,
-				Queries:      o.queries - o.warmup,
-				Warmup:       o.warmup,
+				Queries:      o.queries,
 				SpeedFactors: speeds,
 				LB:           cluster.HashedLB{},
 				Seed:         o.seed ^ 0xbeef,
-			},
-			Sources: sources,
-		})
+				Source:       &cluster.TraceSource{Times: simTraces[s]},
+			}
+			if s > 0 {
+				cfg.PolicySeed = stats.ShardSalt(s)
+				cfg.ServiceSeed = stats.ShardSalt(s)
+			}
+			if children[s], err = cluster.NewGraphLeaf(shardPath(s), cfg); err != nil {
+				return nil, err
+			}
+		}
+		root, err := cluster.NewGraphShard("", o.queries, children...)
 		if err != nil {
 			return nil, err
 		}
-		simBase := sim.Run(reissue.None{})
-		simFixed := sim.Run(fixedPol)
-		simHedge := sim.Run(pol)
-		pt.simRate = simFixed.MeanRate
+		sim, err := cluster.NewGraph(root, o.queries-o.warmup, o.warmup)
+		if err != nil {
+			return nil, err
+		}
+		run := func(p reissue.Policy) *cluster.GraphResult {
+			return sim.Run(func(string) reissue.Policy { return p })
+		}
+		simBase := run(reissue.None{})
+		simFixed := run(fixedPol)
+		simHedge := run(pol)
+		pt.simRate = meanRate(simFixed, S)
 		pt.simBaseP99 = simBase.TailLatency(o.k)
 		pt.simHedgeP99 = simHedge.TailLatency(o.k)
 		diff := math.Abs(pt.fixedLiveRate - pt.simRate)
 		fmt.Fprintf(out, "sim:  baseline P%.0f=%6.1f -> hedged P%.0f=%6.1f model-ms (same trace, same load)\n",
 			o.k*100, pt.simBaseP99, o.k*100, pt.simHedgeP99)
 		fmt.Fprintf(out, "sim:  fixed-anchor rate %.4f — |live-sim| %.4f (tolerance %.3f)%s\n",
-			pt.simRate, diff, rateTolerance,
-			map[bool]string{true: "", false: "  WARNING: beyond tolerance"}[diff <= rateTolerance])
+			pt.simRate, diff, metrics.AgreementBand,
+			map[bool]string{true: "", false: "  WARNING: beyond tolerance"}[diff <= metrics.AgreementBand])
 	}
 	return pt, nil
+}
+
+// shardPath names shard s's leaf in the simulator graph.
+func shardPath(s int) string { return fmt.Sprintf("shard%d", s) }
+
+// meanRate is a sharded simulator run's mean per-shard reissue rate,
+// the live router's MeanRate statistic.
+func meanRate(r *cluster.GraphResult, shards int) float64 {
+	m := 0.0
+	for s := 0; s < shards; s++ {
+		m += r.LeafRates[shardPath(s)] / float64(shards)
+	}
+	return m
 }

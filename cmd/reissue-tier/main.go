@@ -6,8 +6,8 @@
 // store is hedged proactively — the query completes with the first
 // tier to produce a valid answer. The command sweeps hit-rate ×
 // tier-delay, tunes a within-store reissue policy from each point's
-// measured store log, and cross-validates every point against the
-// tiered cluster simulator (internal/cluster.Tiered) on the same
+// measured store log, and cross-validates every point against its
+// simulator twin (a tier node of internal/cluster.Graph) on the same
 // effective traces, the same load, and the same Bernoulli miss
 // stream, bit for bit.
 //
@@ -35,6 +35,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/kvstore"
 	"repro/internal/metrics"
+	"repro/internal/stats"
 	"repro/internal/sweep"
 	"repro/reissue"
 	"repro/reissue/hedge/backend"
@@ -59,10 +60,6 @@ type options struct {
 	workers  int
 	progress bool
 }
-
-// rateTolerance is the fixed-policy agreement band — the same
-// tolerance every sim-vs-live agreement test uses.
-const rateTolerance = 0.025
 
 // Fixed rate-anchor policies for live-vs-sim agreement, in the dense
 // region of each tier's response-time distribution.
@@ -301,45 +298,60 @@ func runPoint(o options, out io.Writer, w *kvstore.Workload, h, d float64, unit 
 		// check, so it is not run (a full wall-clock open loop) when
 		// the simulator pass is disabled.
 		fixed := sys.Run(cacheAnchor, storeAnchor)
-		sim, err := cluster.NewTiered(cluster.TieredConfig{
-			Base: cluster.Config{
-				ArrivalRate: lambda,
-				Queries:     o.queries - o.warmup,
-				Warmup:      o.warmup,
-				LB:          cluster.HashedLB{},
-				Seed:        o.seed ^ 0xbeef,
-			},
-			Cache: cluster.TierConfig{
-				Servers:      o.cacheR,
-				SpeedFactors: speeds(o.cacheR, o.slow),
-				Source:       &cluster.TraceSource{Times: cacheBack.EffectiveModelTimes()},
-			},
-			Store: cluster.TierConfig{
-				Servers:      o.storeR,
-				SpeedFactors: speeds(o.storeR, o.slow),
-				Source:       &cluster.TraceSource{Times: storeBack.EffectiveModelTimes()},
-			},
-			Hits:      cw.Hits,
-			TierDelay: d,
-		})
+		// The tiered deployment's twin: a tier node over a cache and
+		// a store leaf replaying the shared arrivals and miss stream,
+		// the store's coins salted as tier.New salts its store client.
+		leaf := func(path string, replicas int, times []float64, policySeed uint64) (cluster.GraphNode, error) {
+			return cluster.NewGraphLeaf(path, cluster.Config{
+				Servers:      replicas,
+				ArrivalRate:  lambda,
+				Queries:      o.queries,
+				SpeedFactors: speeds(replicas, o.slow),
+				LB:           cluster.HashedLB{},
+				Seed:         o.seed ^ 0xbeef,
+				PolicySeed:   policySeed,
+				Source:       &cluster.TraceSource{Times: times},
+			})
+		}
+		cacheLeaf, err := leaf("cache", o.cacheR, cacheBack.EffectiveModelTimes(), 0)
 		if err != nil {
 			return nil, err
 		}
-		simBase := sim.Run(reissue.None{}, reissue.None{})
-		simFixed := sim.Run(cacheAnchor, storeAnchor)
-		simHedge := sim.Run(reissue.None{}, pol)
+		storeLeaf, err := leaf("store", o.storeR, storeBack.EffectiveModelTimes(), stats.TierSalt())
+		if err != nil {
+			return nil, err
+		}
+		root, err := cluster.NewGraphTier("", cacheLeaf, storeLeaf, cw.Hits, d, o.queries)
+		if err != nil {
+			return nil, err
+		}
+		sim, err := cluster.NewGraph(root, o.queries-o.warmup, o.warmup)
+		if err != nil {
+			return nil, err
+		}
+		run := func(cachePol, storePol reissue.Policy) *cluster.GraphResult {
+			return sim.Run(func(path string) reissue.Policy {
+				if path == "store" {
+					return storePol
+				}
+				return cachePol
+			})
+		}
+		simBase := run(reissue.None{}, reissue.None{})
+		simFixed := run(cacheAnchor, storeAnchor)
+		simHedge := run(reissue.None{}, pol)
 		pt.simBaseP99 = simBase.TailLatency(o.k)
 		pt.simHedgeP99 = simHedge.TailLatency(o.k)
-		pt.simTierRate = simBase.TierRate
-		pt.simRate = simFixed.StoreRate
+		pt.simTierRate = simBase.TierRates[""]
+		pt.simRate = simFixed.LeafRates["store"]
 		liveFixedRate := fixed.Store.ReissueRate
 		diff := math.Abs(liveFixedRate - pt.simRate)
-		tierDiff := math.Abs(base.TierRate - simBase.TierRate)
+		tierDiff := math.Abs(base.TierRate - pt.simTierRate)
 		fmt.Fprintf(out, "sim:  baseline P%.0f=%6.1f -> store-hedged P%.0f=%6.1f model-ms (same traces, same miss stream)\n",
 			o.k*100, pt.simBaseP99, o.k*100, pt.simHedgeP99)
 		fmt.Fprintf(out, "sim:  fixed store rate %.4f — |live-sim| %.4f, tier rate %.4f — |live-sim| %.4f (tolerance %.3f)%s\n",
-			pt.simRate, diff, pt.simTierRate, tierDiff, rateTolerance,
-			map[bool]string{true: "", false: "  WARNING: beyond tolerance"}[diff <= rateTolerance && tierDiff <= rateTolerance])
+			pt.simRate, diff, pt.simTierRate, tierDiff, metrics.AgreementBand,
+			map[bool]string{true: "", false: "  WARNING: beyond tolerance"}[diff <= metrics.AgreementBand && tierDiff <= metrics.AgreementBand])
 	}
 	return pt, nil
 }

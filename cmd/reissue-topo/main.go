@@ -35,6 +35,7 @@ import (
 	"time"
 
 	"repro/internal/kvstore"
+	"repro/internal/metrics"
 	"repro/internal/sweep"
 	"repro/reissue"
 	"repro/reissue/hedge/backend"
@@ -61,10 +62,6 @@ type options struct {
 	workers  int
 	progress bool
 }
-
-// rateTolerance is the fixed-policy agreement band — the same
-// tolerance every sim-vs-live agreement test uses.
-const rateTolerance = 0.025
 
 // Fixed rate anchors for the live-vs-sim check: cache fleets answer
 // fast, so their anchor deadline sits earlier than the store fleets'.
@@ -377,14 +374,14 @@ func runPoint(o options, out io.Writer, w *kvstore.Workload, h, d float64, unit 
 		for slot, r := range liveSlots {
 			pt.leafDiff = math.Max(pt.leafDiff, math.Abs(r-simSlots[slot]))
 		}
-		pt.warn = pt.tierDiff > rateTolerance || pt.leafDiff > rateTolerance
+		pt.warn = pt.tierDiff > metrics.AgreementBand || pt.leafDiff > metrics.AgreementBand
 		fmt.Fprintf(out, "sim:  baseline P%.0f=%6.1f -> anchored P%.0f=%6.1f model-ms (same arrivals, traces, hit streams)\n",
 			o.k*100, pt.simBasePk, o.k*100, pt.simAnchPk)
 		for _, slot := range sortedKeys(liveSlots) {
 			fmt.Fprintf(out, "sim:  slot %-16q anchored rate live %.4f sim %.4f\n", slot, liveSlots[slot], simSlots[slot])
 		}
 		fmt.Fprintf(out, "sim:  max |live-sim| tier rate %.4f, slot rate %.4f (tolerance %.3f)%s\n",
-			pt.tierDiff, pt.leafDiff, rateTolerance,
+			pt.tierDiff, pt.leafDiff, metrics.AgreementBand,
 			map[bool]string{true: "  WARNING: beyond tolerance", false: ""}[pt.warn])
 	}
 	return pt, nil

@@ -142,15 +142,16 @@ type Config struct {
 	// PolicySeed, when non-zero, re-derives the policy-coin stream
 	// from Seed XOR PolicySeed instead of from Seed alone, leaving the
 	// arrival, service, placement, and connection streams untouched.
-	// The sharded composition (Sharded) uses it to give every shard
-	// the identical arrival instants (same Seed) with independent
-	// reissue coins per shard — the dependence structure of a live
-	// fan-out client running one hedger per shard. Zero preserves the
-	// historical stream derivation exactly.
+	// Graph leaves under a shard node use it (salted by
+	// stats.ShardSalt) to give every shard the identical arrival
+	// instants (same Seed) with independent reissue coins per shard —
+	// the dependence structure of a live fan-out client running one
+	// hedger per shard. Zero preserves the historical stream
+	// derivation exactly.
 	PolicySeed uint64
 	// ServiceSeed is the same override for the service-time stream:
-	// non-zero re-derives it from Seed XOR ServiceSeed. The sharded
-	// composition sets it per shard so stochastic sources (DistSource)
+	// non-zero re-derives it from Seed XOR ServiceSeed. A Graph's
+	// shard leaves set it per shard so stochastic sources (DistSource)
 	// draw independent service times on every shard — a shard serves
 	// its own slice of the data — instead of replaying shard 0's
 	// draws; trace-backed sources ignore the stream entirely. Zero

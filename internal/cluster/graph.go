@@ -8,24 +8,28 @@ import (
 	"repro/reissue"
 )
 
-// This file composes the existing simulator pairings — Sharded's
-// max-over-shards merge and Tiered's shield/merge rules — into an
-// arbitrary service graph, so the simulator stays a valid twin of any
-// topology the live Source combinators can wire (a cache tier over a
-// sharded store, per-shard caches, deeper stacks). A Graph is a tree
-// of nodes: leaves are ordinary Clusters over one fleet's trace,
-// shard nodes max-merge their children, and tier nodes run their
-// cache subtree first, shield the fast hits, then run their store
-// subtree over the same arrival instants with the shielded queries
-// masked to zero service — exactly the Tiered mechanics, but with
-// whole subtrees where Tiered has single fleets.
+// Graph is the simulator twin of every composed deployment: a tree
+// of nodes over one shared arrival process. Leaves are ordinary
+// Clusters over one fleet's trace; shard nodes fan every query out
+// to all their children and complete it when the slowest child
+// answers (the partitioned fleet of "The Tail at Scale"); tier nodes
+// run their cache subtree first, shield the hits the cache answers
+// within the tier delay, then run their store subtree over the same
+// arrival instants with the shielded queries masked to zero service,
+// so the store serves exactly the fall-through and proactive-hedge
+// load the live tier client sends it. A one-level shard node over
+// fleets is the sharded deployment reissue/hedge/shard runs live; a
+// tier node over two fleets is the cache→store deployment of
+// reissue/hedge/tier; reissue/hedge/topo builds deeper stacks.
 //
-// Determinism and decorrelation follow the existing pairings: every
-// leaf shares the graph's arrival process (same Seed), and the
-// builder decorrelates per-leaf reissue coins by accumulating the
-// SAME structural salts along the path that the live constructors
-// apply (tier.New XORs stats.Mix64NonZero(1) into its store client's
-// seed; shard.New XORs Mix64NonZero(s+1) into shard s>0's). The
+// Determinism and decorrelation: every leaf shares the graph's
+// arrival process (same Seed), and whoever builds the graph
+// decorrelates per-leaf streams by accumulating the SAME structural
+// salts along the path that the live constructors apply —
+// stats.TierSalt into a tier's store-side PolicySeed (tier.New salts
+// its store client's seed), stats.ShardSalt(k) into shard k > 0's
+// PolicySeed and ServiceSeed (shard.New salts shard k's coin seed;
+// the service salt keeps stochastic shard sources independent). The
 // degenerate compositions therefore collapse bit for bit: a 1-shard
 // node or an Inf-delay/hit-rate-1 tier adds no salt and no mask
 // flips, so the graph replays the uncomposed Cluster exactly.
@@ -43,9 +47,12 @@ type GraphNode interface {
 	addMask(shielded []bool)
 	// collect gathers per-node statistics from the most recent runAll.
 	collect(out *GraphResult, warmup int)
+	// queries is the number of arrivals (warmup included) the node
+	// replays per run.
+	queries() int
 }
 
-// maskStack generalizes maskedSource to nested tiers: each enclosing
+// maskStack zeroes the service of shielded queries: each enclosing
 // tier contributes one shielded stream, and a query masked by any of
 // them takes zero service while the inner source's stream is still
 // consumed in query order (non-shielded draws stay independent of
@@ -103,6 +110,9 @@ func NewGraphLeaf(path string, cfg Config) (*GraphLeaf, error) {
 	if cfg.FanOut > 1 {
 		return nil, fmt.Errorf("cluster: graph leaf %q has FanOut=%d — compose a shard node instead", path, cfg.FanOut)
 	}
+	if cfg.Servers <= 0 {
+		return nil, fmt.Errorf("cluster: graph leaf %q has Servers=%d — a leaf twins a finite replica fleet", path, cfg.Servers)
+	}
 	if cfg.Source == nil {
 		return nil, fmt.Errorf("cluster: graph leaf %q needs a service source", path)
 	}
@@ -131,30 +141,34 @@ func (l *GraphLeaf) runAll(polFor func(string) reissue.Policy) []float64 {
 	return rts
 }
 
+func (l *GraphLeaf) queries() int { return l.total }
+
 func (l *GraphLeaf) addMask(shielded []bool) {
 	l.mask.masks = append(l.mask.masks, shielded)
 }
 
 func (l *GraphLeaf) collect(out *GraphResult, warmup int) {
-	dispatched, copies := 0, 0
+	var resp []float64
+	copies := 0
 	for i := warmup; i < l.total; i++ {
 		if l.mask.shieldedAt(i) {
 			continue
 		}
-		dispatched++
-		copies += l.last.Log.Records[i].Reissues
+		rec := l.last.Log.Records[i]
+		resp = append(resp, rec.Response)
+		copies += rec.Reissues
 	}
 	rate := 0.0
-	if dispatched > 0 {
-		rate = float64(copies) / float64(dispatched)
+	if len(resp) > 0 {
+		rate = float64(copies) / float64(len(resp))
 	}
 	out.LeafRates[l.path] = rate
+	out.LeafResp[l.path] = resp
 }
 
 // GraphShard max-merges its children: every child replays every
 // arrival (the data is partitioned, each query touches all shards)
-// and the composed query completes when the slowest child answers —
-// the Sharded merge, lifted to arbitrary child subtrees.
+// and the composed query completes when the slowest child answers.
 type GraphShard struct {
 	path     string
 	children []GraphNode
@@ -162,7 +176,7 @@ type GraphShard struct {
 }
 
 // NewGraphShard builds a shard fan-out over the given child
-// subtrees.
+// subtrees, each of which must replay total queries.
 func NewGraphShard(path string, total int, children ...GraphNode) (*GraphShard, error) {
 	if len(children) == 0 {
 		return nil, fmt.Errorf("cluster: graph shard %q has no children", path)
@@ -170,6 +184,9 @@ func NewGraphShard(path string, total int, children ...GraphNode) (*GraphShard, 
 	for s, ch := range children {
 		if ch == nil {
 			return nil, fmt.Errorf("cluster: graph shard %q child %d is nil", path, s)
+		}
+		if n := ch.queries(); n != total {
+			return nil, fmt.Errorf("cluster: graph shard %q child %d replays %d queries, want %d", path, s, n, total)
 		}
 	}
 	return &GraphShard{path: path, children: children, total: total}, nil
@@ -179,9 +196,6 @@ func (g *GraphShard) runAll(polFor func(string) reissue.Policy) []float64 {
 	resp := make([]float64, g.total)
 	for s, ch := range g.children {
 		rts := ch.runAll(polFor)
-		if len(rts) != g.total {
-			panic(fmt.Sprintf("cluster: graph shard %q child %d returned %d queries, want %d", g.path, s, len(rts), g.total))
-		}
 		if s == 0 {
 			copy(resp, rts)
 			continue
@@ -194,6 +208,8 @@ func (g *GraphShard) runAll(polFor func(string) reissue.Policy) []float64 {
 	}
 	return resp
 }
+
+func (g *GraphShard) queries() int { return g.total }
 
 func (g *GraphShard) addMask(shielded []bool) {
 	for _, ch := range g.children {
@@ -211,7 +227,14 @@ func (g *GraphShard) collect(out *GraphResult, warmup int) {
 // cache answers within the tier delay (the shared Bernoulli hit
 // stream decides which queries CAN hit), then runs its store subtree
 // with the shielded queries masked to zero service, and merges each
-// query's end-to-end response by the Tiered rules.
+// query's end-to-end response exactly as the live tier client
+// resolves it: a shielded hit completes at its cache response, a
+// slow hit at the earlier of its cache response and delay + its store
+// response, and a miss at min(delay, cache response) + its store
+// response. The store replays the shared arrival instants rather than
+// the shifted dispatch instants: exact for a constant proactive
+// shift, which leaves queueing untouched, and an approximation for
+// the variable displacement of an early fall-through.
 type GraphTier struct {
 	path         string
 	cache, store GraphNode
@@ -229,11 +252,15 @@ type GraphTier struct {
 
 // NewGraphTier builds a tier node over the cache and store subtrees,
 // installing the tier's shield mask on every leaf under the store
-// subtree. hits must cover total queries and be the SAME bit stream
-// the live tier consumes (kvstore.CacheWorkload.Hits).
+// subtree. Both subtrees must replay total queries, and hits must
+// cover them and be the SAME bit stream the live tier consumes
+// (kvstore.CacheWorkload.Hits).
 func NewGraphTier(path string, cache, store GraphNode, hits []bool, delay float64, total int) (*GraphTier, error) {
 	if cache == nil || store == nil {
 		return nil, fmt.Errorf("cluster: graph tier %q needs both cache and store subtrees", path)
+	}
+	if nc, ns := cache.queries(), store.queries(); nc != total || ns != total {
+		return nil, fmt.Errorf("cluster: graph tier %q subtrees replay %d (cache) and %d (store) queries, want %d", path, nc, ns, total)
 	}
 	if len(hits) < total {
 		return nil, fmt.Errorf("cluster: graph tier %q has %d hit bits for %d queries — the live and simulated runs must share one stream", path, len(hits), total)
@@ -252,9 +279,6 @@ func NewGraphTier(path string, cache, store GraphNode, hits []bool, delay float6
 
 func (t *GraphTier) runAll(polFor func(string) reissue.Policy) []float64 {
 	crt := t.cache.runAll(polFor)
-	if len(crt) != t.total {
-		panic(fmt.Sprintf("cluster: graph tier %q cache returned %d queries, want %d", t.path, len(crt), t.total))
-	}
 	for i := 0; i < t.total; i++ {
 		t.shielded[i] = t.hits[i] && crt[i] <= t.delay
 	}
@@ -280,6 +304,8 @@ func (t *GraphTier) runAll(polFor func(string) reissue.Policy) []float64 {
 	}
 	return resp
 }
+
+func (t *GraphTier) queries() int { return t.total }
 
 func (t *GraphTier) addMask(shielded []bool) {
 	t.enclosing = append(t.enclosing, shielded)
@@ -321,7 +347,6 @@ func (t *GraphTier) outerShielded(i int) bool {
 // Like Cluster, a Graph must not execute two Runs concurrently.
 type Graph struct {
 	root   GraphNode
-	total  int
 	warmup int
 }
 
@@ -334,7 +359,10 @@ func NewGraph(root GraphNode, queries, warmup int) (*Graph, error) {
 	if queries <= 0 || warmup < 0 {
 		return nil, fmt.Errorf("cluster: graph needs positive queries (got %d) and non-negative warmup (got %d)", queries, warmup)
 	}
-	return &Graph{root: root, total: queries + warmup, warmup: warmup}, nil
+	if n := root.queries(); n != queries+warmup {
+		return nil, fmt.Errorf("cluster: graph root replays %d queries, want queries+warmup = %d", n, queries+warmup)
+	}
+	return &Graph{root: root, warmup: warmup}, nil
 }
 
 // GraphResult is the outcome of one composed run.
@@ -346,6 +374,10 @@ type GraphResult struct {
 	// rate: reissue copies over that leaf's dispatched sub-queries
 	// (queries no enclosing cache absorbed).
 	LeafRates map[string]float64
+	// LeafResp maps each leaf's path to its dispatched sub-queries'
+	// response times in query order: every measured query the leaf
+	// served, skipping those an enclosing cache shielded.
+	LeafResp map[string][]float64
 	// TierRates maps each tier node's path to the fraction of its
 	// dispatched queries that sent a store sub-query — the statistic
 	// the tier's delay knob controls.
@@ -369,6 +401,7 @@ func (g *Graph) Run(polFor func(path string) reissue.Policy) *GraphResult {
 	out := &GraphResult{
 		Query:     append([]float64(nil), resp[g.warmup:]...),
 		LeafRates: map[string]float64{},
+		LeafResp:  map[string][]float64{},
 		TierRates: map[string]float64{},
 	}
 	g.root.collect(out, g.warmup)

@@ -6,6 +6,8 @@ import (
 	"testing/quick"
 
 	"repro/internal/stats"
+	"repro/reissue"
+	"repro/reissue/hedge/backend"
 )
 
 func TestRandomLBUniform(t *testing.T) {
@@ -150,5 +152,92 @@ func TestLBValidityProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestHashedLBPlacement checks HashedLB's contract on a plain
+// cluster: every query's primary goes to hashReplica(id, n). The
+// chosen server is not directly observable, so the test marks each
+// server with a distinct speed factor and runs at near-zero load:
+// the primary's response then equals service * speed of its server.
+func TestHashedLBPlacement(t *testing.T) {
+	// Speed factors pick out the chosen server: at zero load, the
+	// primary's response time is service * speed[hashReplica(id, n)].
+	const n = 64
+	speeds := []float64{1, 2, 4}
+	times := make([]float64, n)
+	for i := range times {
+		times[i] = 1
+	}
+	cl, err := New(Config{
+		Servers:      3,
+		ArrivalRate:  0.001, // essentially sequential: no queueing
+		Queries:      n,
+		Source:       &TraceSource{Times: times},
+		SpeedFactors: speeds,
+		LB:           HashedLB{},
+		Seed:         5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := cl.RunDetailed(reissue.None{})
+	for i, rec := range res.Log.Records {
+		want := speeds[hashReplica(i, 3)]
+		if math.Abs(rec.Primary-want) > 1e-9 {
+			t.Fatalf("query %d: primary response %v, want %v (hashed placement)", i, rec.Primary, want)
+		}
+	}
+}
+
+// TestPolicySeedDecouplesCoins checks the PolicySeed override: same
+// Seed, different PolicySeed must flip different coins while keeping
+// the arrival stream identical; PolicySeed zero preserves the
+// historical stream bit for bit.
+func TestPolicySeedDecouplesCoins(t *testing.T) {
+	mk := func(policySeed uint64) *Result {
+		cfg := shardedBase(400)
+		cfg.LB = nil // default RandomLB, the historical configuration
+		cfg.Source = shardTraces(400, 1)[0]
+		cfg.PolicySeed = policySeed
+		cl, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cl.RunDetailed(reissue.SingleR{D: 0, Q: 0.5})
+	}
+	legacy, again := mk(0), mk(0)
+	for i := range legacy.Log.Records {
+		if legacy.Log.Records[i].Reissued != again.Log.Records[i].Reissued {
+			t.Fatal("PolicySeed=0 runs are not reproducible")
+		}
+	}
+	other := mk(0xfeedface)
+	same := 0
+	for i := range legacy.Log.Records {
+		if legacy.Log.Records[i].Arrival != other.Log.Records[i].Arrival {
+			t.Fatal("PolicySeed changed the arrival stream")
+		}
+		if legacy.Log.Records[i].Reissued == other.Log.Records[i].Reissued {
+			same++
+		}
+	}
+	if frac := float64(same) / float64(len(legacy.Log.Records)); frac > 0.65 {
+		t.Fatalf("coin agreement %.2f with a different PolicySeed, want ~0.5", frac)
+	}
+}
+
+// TestHashReplicaMatchesPrimaryReplica pins hashReplica against the
+// live runtime's backend.PrimaryReplica bit for bit — the duplication
+// exists only because this package cannot import the backend without
+// inverting the dependency direction, and HashedLB's whole point is
+// reproducing the live placement exactly.
+func TestHashReplicaMatchesPrimaryReplica(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 5, 8, 17} {
+		for i := 0; i < 5000; i++ {
+			if got, want := hashReplica(i, n), backend.PrimaryReplica(i, n); got != want {
+				t.Fatalf("hashReplica(%d, %d) = %d, backend.PrimaryReplica = %d", i, n, got, want)
+			}
+		}
 	}
 }

@@ -89,6 +89,14 @@ func ReissueRate(queries, reissues int) float64 {
 	return float64(reissues) / float64(queries)
 }
 
+// AgreementBand is the sim-vs-live rate agreement band: the largest
+// |live - sim| difference between the rates (reissue, failure, tier
+// dispatch) a live runtime and its simulator twin measure for the
+// same fixed policy at matched load before the two worlds are said
+// to disagree. Every agreement test and every cross-validating
+// binary holds its rates to this one value — 2.5 percentage points.
+const AgreementBand = 0.025
+
 // InverseCDFSeries samples the inverse CDF of the data at the given
 // cumulative probabilities — the series plotted in the paper's
 // Figure 2a. The returned slice parallels ps.

@@ -81,7 +81,7 @@ func TestRemediationRate(t *testing.T) {
 }
 
 func TestReissueRate(t *testing.T) {
-	if got := ReissueRate(1000, 25); got != 0.025 {
+	if got := ReissueRate(1000, 40); got != 0.04 {
 		t.Fatalf("rate = %v", got)
 	}
 	if got := ReissueRate(0, 5); got != 0 {

@@ -174,3 +174,16 @@ func Mix64NonZero(x uint64) uint64 {
 	}
 	return 0x9e3779b97f4a7c15
 }
+
+// ShardSalt is the structural salt XORed into shard k's seeds: the
+// live router (reissue/hedge/shard) salts shard k > 0's coin seed
+// with it, and a simulator graph salts shard k > 0's PolicySeed and
+// ServiceSeed with it, so per-shard streams are independent over one
+// shared base. Shard 0 takes no salt, so a one-shard composition
+// replays the uncomposed fleet exactly.
+func ShardSalt(k int) uint64 { return Mix64NonZero(uint64(k) + 1) }
+
+// TierSalt is the structural salt XORed into a tier's store-side
+// coin seed (live tier.New and the simulator graph alike), so the
+// cache and store tiers flip independent coins over one base seed.
+func TierSalt() uint64 { return Mix64NonZero(1) }

@@ -118,7 +118,7 @@ func TestSimLiveAgreement(t *testing.T) {
 	// Rate agreement at matched load, on the low-variance statistic:
 	// the same fixed policy must reissue at the same rate in both
 	// systems, within 2.5 percentage points.
-	if d := math.Abs(liveFixed.ReissueRate - simFixed.ReissueRate); d > 0.025 {
+	if d := math.Abs(liveFixed.ReissueRate - simFixed.ReissueRate); d > metrics.AgreementBand {
 		t.Errorf("fixed-policy reissue rates differ by %.3f: live=%.4f sim=%.4f",
 			d, liveFixed.ReissueRate, simFixed.ReissueRate)
 	}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/metrics"
 	"repro/internal/sched"
 	"repro/reissue"
 	"repro/reissue/hedge"
@@ -100,9 +101,9 @@ func testBatchRateAgreement(t *testing.T) {
 	if simRes.FailedQueries != 0 {
 		t.Errorf("sim failure rate nonzero: %d failed queries", simRes.FailedQueries)
 	}
-	if d := math.Abs(live.ReissueRate - simRes.ReissueRate); d > 0.025 {
-		t.Errorf("batched fixed-policy reissue rates disagree: live %.4f, sim %.4f (|d| %.4f > 0.025)",
-			live.ReissueRate, simRes.ReissueRate, d)
+	if d := math.Abs(live.ReissueRate - simRes.ReissueRate); d > metrics.AgreementBand {
+		t.Errorf("batched fixed-policy reissue rates disagree: live %.4f, sim %.4f (|d| %.4f > %.3f)",
+			live.ReissueRate, simRes.ReissueRate, d, metrics.AgreementBand)
 	}
 }
 

@@ -12,14 +12,10 @@ import (
 	"time"
 
 	"repro/internal/chaoslab"
+	"repro/internal/metrics"
 	"repro/reissue"
 	"repro/reissue/hedge/fault"
 )
-
-// rateBand is the sim-vs-live agreement tolerance on failure and
-// reissue rates (2.5 percentage points — the same band the latency
-// agreement test uses for reissue rates).
-const rateBand = 0.025
 
 func baseScenario() chaoslab.Scenario {
 	return chaoslab.Scenario{
@@ -106,13 +102,13 @@ func TestChaosSimLiveAgreement(t *testing.T) {
 			t.Logf("sim:  failure=%.4f reissue=%.4f p99=%.1f trips=%v open=%v",
 				sim.FailureRate, sim.ReissueRate, sim.P99, sim.BreakerTrips, sim.BreakerTripped)
 
-			if d := math.Abs(live.FailureRate - sim.FailureRate); d > rateBand {
+			if d := math.Abs(live.FailureRate - sim.FailureRate); d > metrics.AgreementBand {
 				t.Errorf("failure rates diverge: live %.4f vs sim %.4f (|d|=%.4f > %.3f)",
-					live.FailureRate, sim.FailureRate, d, rateBand)
+					live.FailureRate, sim.FailureRate, d, metrics.AgreementBand)
 			}
-			if d := math.Abs(live.ReissueRate - sim.ReissueRate); d > rateBand {
+			if d := math.Abs(live.ReissueRate - sim.ReissueRate); d > metrics.AgreementBand {
 				t.Errorf("reissue rates diverge: live %.4f vs sim %.4f (|d|=%.4f > %.3f)",
-					live.ReissueRate, sim.ReissueRate, d, rateBand)
+					live.ReissueRate, sim.ReissueRate, d, metrics.AgreementBand)
 			}
 			if tc.breaker {
 				for r := 0; r < sc.Replicas; r++ {

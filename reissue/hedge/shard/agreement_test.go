@@ -11,6 +11,7 @@ import (
 	"repro/internal/kvstore"
 	"repro/internal/metrics"
 	"repro/internal/searchengine"
+	"repro/internal/stats"
 	"repro/reissue"
 	"repro/reissue/hedge/backend"
 	"repro/reissue/hedge/transport"
@@ -24,14 +25,14 @@ func percentile(xs []float64, k float64) float64 {
 }
 
 // Agreement-test parameters, shared by the in-process and HTTP
-// variants; tolerances are the single-shard agreement test's.
+// variants; rates are held to metrics.AgreementBand, as in the
+// single-shard agreement test.
 const (
-	agreeRho      = 0.28
-	agreeK        = 0.99
-	agreeB        = 0.05 // per-shard reissue budget
-	agreeUnit     = 2 * time.Millisecond
-	agreeMinMS    = 1.0
-	rateTolerance = 0.025
+	agreeRho   = 0.28
+	agreeK     = 0.99
+	agreeB     = 0.05 // per-shard reissue budget
+	agreeUnit  = 2 * time.Millisecond
+	agreeMinMS = 1.0
 )
 
 // shardSpeeds gives every shard the same heterogeneous fleet: one
@@ -149,39 +150,60 @@ func runAgreement(t *testing.T, f *agreeFixture, n, warmup int) {
 		}
 	}
 
-	sources := make([]cluster.ServiceSource, S)
+	// The simulator twin: a shard node over one leaf fleet per shard,
+	// every leaf replaying the shared arrivals, shard s > 0's streams
+	// salted as New salts its coins.
+	children := make([]cluster.GraphNode, S)
 	for s := range f.simTraces {
-		sources[s] = &cluster.TraceSource{Times: f.simTraces[s]}
-	}
-	sim, err := cluster.NewSharded(cluster.ShardedConfig{
-		Base: cluster.Config{
+		cfg := cluster.Config{
 			Servers:      f.replicas,
 			ArrivalRate:  f.lambda,
-			Queries:      n - warmup,
-			Warmup:       warmup,
+			Queries:      n,
 			SpeedFactors: shardSpeeds(f.replicas),
 			// Deterministic hash placement — the exact per-query
 			// replica choices (and their cross-shard correlation) of
 			// the live runtime.
-			LB:   cluster.HashedLB{},
-			Seed: 77,
-		},
-		Sources: sources,
-	})
+			LB:     cluster.HashedLB{},
+			Seed:   77,
+			Source: &cluster.TraceSource{Times: f.simTraces[s]},
+		}
+		if s > 0 {
+			cfg.PolicySeed = stats.ShardSalt(s)
+			cfg.ServiceSeed = stats.ShardSalt(s)
+		}
+		if children[s], err = cluster.NewGraphLeaf(fmt.Sprintf("shard%d", s), cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	root, err := cluster.NewGraphShard("", n, children...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	simBase := sim.Run(reissue.None{})
-	simFixed := sim.Run(fixedPol)
+	sim, err := cluster.NewGraph(root, n-warmup, warmup)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// simRun replays the twin under pol and returns the run with its
+	// mean per-shard reissue rate, the live MeanRate statistic.
+	simRun := func(pol reissue.Policy) (*cluster.GraphResult, float64) {
+		res := sim.Run(func(string) reissue.Policy { return pol })
+		mean := 0.0
+		for s := 0; s < S; s++ {
+			mean += res.LeafRates[fmt.Sprintf("shard%d", s)] / float64(S)
+		}
+		return res, mean
+	}
+	simBase, _ := simRun(reissue.None{})
+	_, simFixedRate := simRun(fixedPol)
 	var simPooled []float64
 	for s := 0; s < S; s++ {
-		simPooled = append(simPooled, simBase.PerShard[s].Log.ResponseTimes()...)
+		simPooled = append(simPooled, simBase.LeafResp[fmt.Sprintf("shard%d", s)]...)
 	}
 	simPol, _, err := reissue.ComputeOptimalSingleR(simPooled, nil, agreeK, agreeB)
 	if err != nil {
 		t.Fatal(err)
 	}
-	simHedge := sim.Run(simPol)
+	simHedge, simHedgeRate := simRun(simPol)
 
 	simBaseP99 := simBase.TailLatency(agreeK)
 	simHedgeP99 := simHedge.TailLatency(agreeK)
@@ -189,22 +211,22 @@ func runAgreement(t *testing.T, f *agreeFixture, n, warmup int) {
 	t.Logf("S=%d end-to-end P99 model-ms: live %.2f -> %.2f, sim %.2f -> %.2f",
 		S, liveBaseP99, liveHedgeP99, simBaseP99, simHedgeP99)
 	t.Logf("S=%d fixed-policy mean per-shard reissue rate: live %.4f, sim %.4f",
-		S, liveFixed.MeanRate, simFixed.MeanRate)
+		S, liveFixed.MeanRate, simFixedRate)
 	t.Logf("S=%d tuned-policy mean per-shard reissue rate: live %.4f, sim %.4f, budget %.2f",
-		S, liveHedge.MeanRate, simHedge.MeanRate, agreeB)
+		S, liveHedge.MeanRate, simHedgeRate, agreeB)
 
 	// Rate agreement at matched load on the low-variance statistic:
 	// the same fixed policy must reissue at the same mean per-shard
 	// rate in both systems.
-	if d := math.Abs(liveFixed.MeanRate - simFixed.MeanRate); d > rateTolerance {
+	if d := math.Abs(liveFixed.MeanRate - simFixedRate); d > metrics.AgreementBand {
 		t.Errorf("S=%d fixed-policy reissue rates differ by %.3f: live=%.4f sim=%.4f",
-			S, d, liveFixed.MeanRate, simFixed.MeanRate)
+			S, d, liveFixed.MeanRate, simFixedRate)
 	}
 
 	// Tuned policies: realized rates are tail statistics; sanity-band
 	// them around the per-shard budget.
 	for name, rate := range map[string]float64{
-		"live": liveHedge.MeanRate, "sim": simHedge.MeanRate,
+		"live": liveHedge.MeanRate, "sim": simHedgeRate,
 	} {
 		if rate <= 0 || rate > 2.5*agreeB {
 			t.Errorf("S=%d %s tuned reissue rate %.4f outside (0, %.3f]", S, name, rate, 2.5*agreeB)

@@ -22,9 +22,9 @@
 // them: each shard is any backend.Source (an in-process
 // backend.Cluster slice-of-the-data, or a transport.Client fronting
 // per-shard HTTP replica fleets), each sub-query is hedged by an
-// ordinary hedge.Client, and the sharded cluster simulator
-// (internal/cluster.Sharded) replays the same topology on virtual
-// time for cross-validation.
+// ordinary hedge.Client, and a shard node of the composed cluster
+// simulator (internal/cluster.Graph) replays the same topology on
+// virtual time for cross-validation.
 package shard
 
 import (
@@ -63,17 +63,6 @@ type Config struct {
 	// cancels all in-flight copies and counts as Cancelled, not a
 	// Failure, matching tier.Config.Deadline. Zero means no budget.
 	Deadline float64
-}
-
-// shardSalt decorrelates shard s's policy coins from the template
-// seed, non-zero so shard s > 0 never collapses onto shard 0's
-// stream. The sharded simulator salts its per-shard streams through
-// the same stats.Mix64NonZero; the correspondence is structural
-// (independent per-shard streams over a shared base), not a
-// bit-identical sequence — the live client and the simulator consume
-// their seeds through different generators anyway.
-func shardSalt(s int) uint64 {
-	return stats.Mix64NonZero(uint64(s) + 1)
 }
 
 // Router fans queries out over a partitioned fleet, hedging each
@@ -141,7 +130,13 @@ func New(cfg Config) (*Router, error) {
 		hcfg := cfg.Hedge
 		hcfg.Unit = unit
 		if s > 0 {
-			hcfg.Seed ^= shardSalt(s)
+			// stats.ShardSalt decorrelates shard s's coins from the
+			// template seed, as the simulator graph salts its shard
+			// leaves; the correspondence is structural (independent
+			// streams over a shared base), not a bit-identical coin
+			// sequence — the two worlds draw through different
+			// generators.
+			hcfg.Seed ^= stats.ShardSalt(s)
 		}
 		client, err := hedge.New(hcfg)
 		if err != nil {

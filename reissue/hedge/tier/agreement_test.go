@@ -8,6 +8,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/kvstore"
 	"repro/internal/metrics"
+	"repro/internal/stats"
 	"repro/reissue"
 	"repro/reissue/hedge/backend"
 )
@@ -19,8 +20,8 @@ func percentile(xs []float64, k float64) float64 {
 	return metrics.TailLatency(xs, k*100)
 }
 
-// Agreement-test parameters; tolerances are the single-shard
-// agreement test's.
+// Agreement-test parameters; rates are held to
+// metrics.AgreementBand, as in the single-shard agreement test.
 const (
 	agreeRho = 0.28 // nominal cache-tier utilization
 	agreeK   = 0.99
@@ -32,9 +33,8 @@ const (
 	// millisecond is not small. The tiered tests therefore run a
 	// coarser wall-clock scale than the single-fleet test's 2 ms,
 	// race-detector instrumentation included.
-	agreeUnit     = 3 * time.Millisecond
-	agreeMinMS    = 1.0
-	rateTolerance = 0.025
+	agreeUnit  = 3 * time.Millisecond
+	agreeMinMS = 1.0
 	// tailTolerance bounds |live - sim| end-to-end P99 relative to
 	// the simulated one. The tiered end-to-end tail mixes the two
 	// tiers' queueing approximations (the store tier replays shared
@@ -149,36 +149,52 @@ func kvTierFixture(t *testing.T, n int, hitRate float64) *tierFixture {
 	}
 }
 
-// newSim builds the tiered simulator over the fixture's effective
-// traces at the same load, with the shared hit stream and the live
-// runtime's deterministic hash placement.
-func (f *tierFixture) newSim(t *testing.T, n, warmup int, tierDelay float64) *cluster.Tiered {
+// tierSim replays the tiered simulator twin once under per-tier
+// policies.
+type tierSim func(cachePol, storePol reissue.Policy) *cluster.GraphResult
+
+// newSim builds the tiered simulator twin over the fixture's
+// effective traces at the same load, with the shared hit stream and
+// the live runtime's deterministic hash placement: a tier node over a
+// cache and a store leaf, the store's coins salted as New salts its
+// store client.
+func (f *tierFixture) newSim(t *testing.T, n, warmup int, tierDelay float64) tierSim {
 	t.Helper()
-	tv, err := cluster.NewTiered(cluster.TieredConfig{
-		Base: cluster.Config{
-			ArrivalRate: f.lambda,
-			Queries:     n - warmup,
-			Warmup:      warmup,
-			LB:          cluster.HashedLB{},
-			Seed:        77,
-		},
-		Cache: cluster.TierConfig{
-			Servers:      cacheReplicas,
-			SpeedFactors: tierSpeeds(cacheReplicas),
-			Source:       &cluster.TraceSource{Times: f.cacheTrace},
-		},
-		Store: cluster.TierConfig{
-			Servers:      storeReplicas,
-			SpeedFactors: tierSpeeds(storeReplicas),
-			Source:       &cluster.TraceSource{Times: f.storeTrace},
-		},
-		Hits:      f.hits,
-		TierDelay: tierDelay,
-	})
+	leaf := func(path string, replicas int, trace []float64, policySeed uint64) cluster.GraphNode {
+		l, err := cluster.NewGraphLeaf(path, cluster.Config{
+			Servers:      replicas,
+			ArrivalRate:  f.lambda,
+			Queries:      n,
+			SpeedFactors: tierSpeeds(replicas),
+			LB:           cluster.HashedLB{},
+			Seed:         77,
+			PolicySeed:   policySeed,
+			Source:       &cluster.TraceSource{Times: trace},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return l
+	}
+	root, err := cluster.NewGraphTier("",
+		leaf("cache", cacheReplicas, f.cacheTrace, 0),
+		leaf("store", storeReplicas, f.storeTrace, stats.TierSalt()),
+		f.hits, tierDelay, n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tv
+	g, err := cluster.NewGraph(root, n-warmup, warmup)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return func(cachePol, storePol reissue.Policy) *cluster.GraphResult {
+		return g.Run(func(path string) reissue.Policy {
+			if path == "store" {
+				return storePol
+			}
+			return cachePol
+		})
+	}
 }
 
 // runTierAgreement executes the shared procedure on one
@@ -203,25 +219,25 @@ func runTierAgreement(t *testing.T, f *tierFixture, pt tierPoint, n, warmup int)
 	liveBaseP99 := percentile(liveBase.Query, agreeK)
 
 	sim := f.newSim(t, n, warmup, pt.tierDelay)
-	simBase := sim.Run(reissue.None{}, reissue.None{})
-	simFixed := sim.Run(f.cacheAnchor, f.storeAnchor)
+	simBase := sim(reissue.None{}, reissue.None{})
+	simFixed := sim(f.cacheAnchor, f.storeAnchor)
 	simBaseP99 := simBase.TailLatency(agreeK)
 
 	t.Logf("%s end-to-end baseline P99 model-ms: live %.2f, sim %.2f", pt.name, liveBaseP99, simBaseP99)
 	t.Logf("%s fixed-anchor rates: cache live %.4f sim %.4f | store live %.4f sim %.4f | tier live %.4f sim %.4f",
-		pt.name, liveFixed.Cache.ReissueRate, simFixed.CacheRate,
-		liveFixed.Store.ReissueRate, simFixed.StoreRate,
-		liveFixed.TierRate, simFixed.TierRate)
+		pt.name, liveFixed.Cache.ReissueRate, simFixed.LeafRates["cache"],
+		liveFixed.Store.ReissueRate, simFixed.LeafRates["store"],
+		liveFixed.TierRate, simFixed.TierRates[""])
 	// Reissue-rate agreement at matched load on the low-variance
 	// statistics: the same fixed policies must reissue at the same
 	// per-tier rates, and the same tier delay must fall through /
 	// proactively hedge at the same tier rate, in both worlds.
 	for name, pair := range map[string][2]float64{
-		"cache": {liveFixed.Cache.ReissueRate, simFixed.CacheRate},
-		"store": {liveFixed.Store.ReissueRate, simFixed.StoreRate},
-		"tier":  {liveFixed.TierRate, simFixed.TierRate},
+		"cache": {liveFixed.Cache.ReissueRate, simFixed.LeafRates["cache"]},
+		"store": {liveFixed.Store.ReissueRate, simFixed.LeafRates["store"]},
+		"tier":  {liveFixed.TierRate, simFixed.TierRates[""]},
 	} {
-		if d := math.Abs(pair[0] - pair[1]); d > rateTolerance {
+		if d := math.Abs(pair[0] - pair[1]); d > metrics.AgreementBand {
 			t.Errorf("%s %s-rate differs by %.3f: live=%.4f sim=%.4f",
 				pt.name, name, d, pair[0], pair[1])
 		}
@@ -230,9 +246,9 @@ func runTierAgreement(t *testing.T, f *tierFixture, pt tierPoint, n, warmup int)
 	// With an infinite tier delay the tier rate IS the measured miss
 	// rate, and the miss bits are shared bit-for-bit: the two worlds
 	// must agree exactly, not just within tolerance.
-	if math.IsInf(pt.tierDelay, 1) && liveBase.TierRate != simBase.TierRate {
+	if math.IsInf(pt.tierDelay, 1) && liveBase.TierRate != simBase.TierRates[""] {
 		t.Errorf("%s shared miss stream diverged: live tier rate %.6f, sim %.6f",
-			pt.name, liveBase.TierRate, simBase.TierRate)
+			pt.name, liveBase.TierRate, simBase.TierRates[""])
 	}
 
 	// Tail-latency agreement: the two worlds must sit in the same
@@ -259,7 +275,7 @@ func runTierAgreement(t *testing.T, f *tierFixture, pt tierPoint, n, warmup int)
 // merged end-to-end tail improves in both worlds, with the realized
 // store rates sanity-banded around the budget.
 func assertStoreHedgePayoff(t *testing.T, f *tierFixture, pt tierPoint,
-	live *LiveSystem, sim *cluster.Tiered, liveBase RunResult, simBase *cluster.TieredResult,
+	live *LiveSystem, sim tierSim, liveBase RunResult, simBase *cluster.GraphResult,
 	liveBaseP99, simBaseP99 float64) {
 	t.Helper()
 	livePol, _, err := reissue.ComputeOptimalSingleR(liveBase.Store.Primary, nil, agreeK, agreeB)
@@ -280,23 +296,23 @@ func assertStoreHedgePayoff(t *testing.T, f *tierFixture, pt tierPoint,
 			liveHedge, liveHedgeP99 = retry, p
 		}
 	}
-	simPol, _, err := reissue.ComputeOptimalSingleR(simBase.StoreResp, nil, agreeK, agreeB)
+	simPol, _, err := reissue.ComputeOptimalSingleR(simBase.LeafResp["store"], nil, agreeK, agreeB)
 	if err != nil {
 		t.Fatal(err)
 	}
-	simHedge := sim.Run(reissue.None{}, simPol)
+	simHedge := sim(reissue.None{}, simPol)
 	simHedgeP99 := simHedge.TailLatency(agreeK)
 
 	t.Logf("%s store policies: live %v, sim %v", pt.name, livePol, simPol)
 	t.Logf("%s store-hedge payoff P99 model-ms: live %.2f -> %.2f, sim %.2f -> %.2f",
 		pt.name, liveBaseP99, liveHedgeP99, simBaseP99, simHedgeP99)
 	t.Logf("%s tuned store rate: live %.4f, sim %.4f, budget %.2f",
-		pt.name, liveHedge.Store.ReissueRate, simHedge.StoreRate, agreeB)
+		pt.name, liveHedge.Store.ReissueRate, simHedge.LeafRates["store"], agreeB)
 
 	// Tuned policies' realized rates are tail statistics; sanity-band
 	// them around the budget.
 	for name, rate := range map[string]float64{
-		"live": liveHedge.Store.ReissueRate, "sim": simHedge.StoreRate,
+		"live": liveHedge.Store.ReissueRate, "sim": simHedge.LeafRates["store"],
 	} {
 		if rate <= 0 || rate > 2.5*agreeB {
 			t.Errorf("%s %s tuned store rate %.4f outside (0, %.3f]", pt.name, name, rate, 2.5*agreeB)
@@ -342,8 +358,7 @@ func assertTierDelayPayoff(t *testing.T, f *tierFixture, pt tierPoint, n, warmup
 		N: n, Warmup: warmup, Lambda: f.lambda, Seed: 21}
 	liveFallRes := liveFall.Run(reissue.None{}, reissue.None{})
 	liveFallP99 := percentile(liveFallRes.Query, agreeK)
-	simFall := f.newSim(t, n, warmup, math.Inf(1))
-	simFallRes := simFall.Run(reissue.None{}, reissue.None{})
+	simFallRes := f.newSim(t, n, warmup, math.Inf(1))(reissue.None{}, reissue.None{})
 	simFallP99 := simFallRes.TailLatency(agreeK)
 
 	liveFallHit := hitTail(liveFallRes.Query, f.hits, warmup, agreeK)

@@ -19,10 +19,11 @@
 // within-tier reissue policies compose with the tier-level hedge: a
 // cache sub-query stuck behind a slow cache replica is rescued inside
 // the cache tier, and the whole cache tier is hedged against the
-// store. The tiered cluster simulator (internal/cluster.Tiered)
-// replays the same topology on virtual time — sharing the cache-hit
-// Bernoulli stream bit for bit, so both worlds miss on the same
-// queries — for sim-vs-live cross-validation; see cmd/reissue-tier.
+// store. A tier node of the composed cluster simulator
+// (internal/cluster.Graph) replays the same topology on virtual
+// time — sharing the cache-hit Bernoulli stream bit for bit, so both
+// worlds miss on the same queries — for sim-vs-live
+// cross-validation; see cmd/reissue-tier.
 package tier
 
 import (
@@ -65,7 +66,7 @@ type Config struct {
 	// CacheHedge and StoreHedge are the per-tier hedging-client
 	// templates: Policy (or Online), LetLoserRun, quantile
 	// parameters, Seed. The store client's coin stream is salted
-	// (stats.Mix64NonZero(1), mirrored by the tiered simulator's
+	// (stats.TierSalt, mirrored by the simulator graph's store
 	// PolicySeed) so the two tiers flip independent coins over the
 	// shared base seed. Unit is taken from the sources.
 	CacheHedge, StoreHedge hedge.Config
@@ -108,13 +109,6 @@ type DegradeConfig struct {
 	// before a probe sub-query re-tests the store. Must be > 0.
 	Cooldown float64
 }
-
-// tierSalt decorrelates the store tier's policy coins from the cache
-// tier's. internal/cluster.Tiered derives its store tier's PolicySeed
-// through the same finalizer; as with the sharded composition the
-// correspondence is structural — independent streams over a shared
-// base — not a bit-identical coin sequence.
-func tierSalt() uint64 { return stats.Mix64NonZero(1) }
 
 // ErrExhausted wraps the terminal error when no tier produced a valid
 // answer: the cache missed or failed, and the store sub-query failed
@@ -202,7 +196,11 @@ func New(cfg Config) (*Client, error) {
 	}
 	storeCfg := cfg.StoreHedge
 	storeCfg.Unit = unit
-	storeCfg.Seed ^= tierSalt()
+	// stats.TierSalt decorrelates the store tier's coins from the
+	// cache tier's, as the simulator graph salts its store leaves'
+	// PolicySeed: independent streams over a shared base, not a
+	// bit-identical coin sequence.
+	storeCfg.Seed ^= stats.TierSalt()
 	storeC, err := hedge.New(storeCfg)
 	if err != nil {
 		return nil, fmt.Errorf("tier: store client: %w", err)

@@ -6,19 +6,19 @@ import (
 	"time"
 
 	"repro/internal/kvstore"
+	"repro/internal/metrics"
 	"repro/reissue"
 	"repro/reissue/hedge/backend"
 )
 
 // Agreement-test parameters — the multi-tier agreement test's
-// wall-clock scale and tolerance bands, applied per composition
-// depth.
+// wall-clock scale and tail band, applied per composition depth;
+// rates are held to metrics.AgreementBand.
 const (
 	topoRho     = 0.28 // utilization of the entry fleet
 	topoK       = 0.99
 	topoUnit    = 3 * time.Millisecond
 	topoMinMS   = 1.0
-	topoRateTol = 0.025
 	topoTailTol = 0.35
 )
 
@@ -116,7 +116,7 @@ func runTopoAgreement(t *testing.T, pt topoPoint, n, warmup int) {
 			continue
 		}
 		t.Logf("%s leaf %q rate: live %.4f sim %.4f", pt.name, path, lr, sr)
-		if d := math.Abs(lr - sr); d > topoRateTol {
+		if d := math.Abs(lr - sr); d > metrics.AgreementBand {
 			t.Errorf("%s leaf %q rate differs by %.3f: live=%.4f sim=%.4f", pt.name, path, d, lr, sr)
 		}
 	}
@@ -127,7 +127,7 @@ func runTopoAgreement(t *testing.T, pt topoPoint, n, warmup int) {
 			continue
 		}
 		t.Logf("%s tier %q rate: live %.4f sim %.4f", pt.name, path, lr, sr)
-		if d := math.Abs(lr - sr); d > topoRateTol {
+		if d := math.Abs(lr - sr); d > metrics.AgreementBand {
 			t.Errorf("%s tier %q rate differs by %.3f: live=%.4f sim=%.4f", pt.name, path, d, lr, sr)
 		}
 	}
@@ -306,7 +306,7 @@ func TestShardWrapperLiveParity(t *testing.T) {
 
 	t.Logf("rates: plain %.4f wrapped %.4f | P99: plain %.2f wrapped %.2f",
 		rp.LeafRates[""], rw.LeafRates["shard0"], rp.TailLatency(topoK), rw.TailLatency(topoK))
-	if d := math.Abs(rp.LeafRates[""] - rw.LeafRates["shard0"]); d > topoRateTol {
+	if d := math.Abs(rp.LeafRates[""] - rw.LeafRates["shard0"]); d > metrics.AgreementBand {
 		t.Errorf("1-shard wrapper reissue rate differs by %.3f: plain=%.4f wrapped=%.4f",
 			d, rp.LeafRates[""], rw.LeafRates["shard0"])
 	}
@@ -372,7 +372,7 @@ func TestTierWrapperLiveParity(t *testing.T) {
 
 	t.Logf("rates: plain %.4f wrapped %.4f | P99: plain %.2f wrapped %.2f",
 		rp.ReissueRate, rc.LeafRates["cache"], rp.TailLatency(topoK), rc.TailLatency(topoK))
-	if d := math.Abs(rp.ReissueRate - rc.LeafRates["cache"]); d > topoRateTol {
+	if d := math.Abs(rp.ReissueRate - rc.LeafRates["cache"]); d > metrics.AgreementBand {
 		t.Errorf("degenerate tier cache rate differs by %.3f: plain=%.4f wrapped=%.4f",
 			d, rp.ReissueRate, rc.LeafRates["cache"])
 	}

@@ -17,8 +17,8 @@
 // independent per hedged edge in both worlds: the builder accumulates
 // the SAME per-edge seed salts along the graph path that the live
 // constructors apply internally (tier.New salts its store client by
-// stats.Mix64NonZero(1); shard.New salts shard s > 0 by
-// Mix64NonZero(s+1)), and hands the accumulated salt to the
+// stats.TierSalt(); shard.New salts shard s > 0 by
+// stats.ShardSalt(s)), and hands the accumulated salt to the
 // simulator leaf as its PolicySeed/ServiceSeed. Degenerate
 // compositions therefore collapse exactly: a 1-shard node or a
 // hit-rate-1/Inf-delay tier adds no salt and no shielding, so both
@@ -205,8 +205,6 @@ type Topology struct {
 	closed     bool
 }
 
-func tierSalt() uint64       { return stats.Mix64NonZero(1) }
-func shardSalt(k int) uint64 { return stats.Mix64NonZero(uint64(k) + 1) }
 func join(parent, seg string) string {
 	if parent == "" {
 		return seg
@@ -300,10 +298,10 @@ func (t *Topology) build(w *kvstore.Workload, spec Spec, path, slot string, salt
 			cp, cs := saltP, saltS
 			if k > 0 {
 				// The salt shard.New will XOR into shard k's hedge
-				// seed, and the salt the sharded simulator gives shard
+				// seed, and the salt the simulator graph gives shard
 				// k's policy and service streams.
-				cp ^= shardSalt(k)
-				cs ^= shardSalt(k)
+				cp ^= stats.ShardSalt(k)
+				cs ^= stats.ShardSalt(k)
 			}
 			ch, err := t.build(part, spec.Shard.Child, join(path, fmt.Sprintf("shard%d", k)), join(slot, "shard"), cp, cs)
 			if err != nil {
@@ -328,13 +326,13 @@ func (t *Topology) build(w *kvstore.Workload, spec Spec, path, slot string, salt
 		}
 		mkCache := func(cfg backend.Config) (*backend.Cluster, error) { return tier.NewKVCache(cw, cfg) }
 		// The cache edge inherits this node's salts unchanged and the
-		// store edge accumulates tierSalt — exactly the XOR tier.New
-		// applies to its store client's seed.
+		// store edge accumulates stats.TierSalt — exactly the XOR
+		// tier.New applies to its store client's seed.
 		cacheN, err := t.buildFleet(ts.Cache, mkCache, join(path, "cache"), join(slot, "cache"), saltP, saltS)
 		if err != nil {
 			return nil, err
 		}
-		storeN, err := t.build(w, ts.Store, join(path, "store"), join(slot, "store"), saltP^tierSalt(), saltS)
+		storeN, err := t.build(w, ts.Store, join(path, "store"), join(slot, "store"), saltP^stats.TierSalt(), saltS)
 		if err != nil {
 			return nil, err
 		}
