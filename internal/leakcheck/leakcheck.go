@@ -1,0 +1,43 @@
+// Package leakcheck is the goroutine-leak check the live-runtime test
+// suites share: record a baseline before starting work, wait the work
+// out, then require the goroutine count to fall back to the baseline.
+package leakcheck
+
+import (
+	"runtime"
+	"testing"
+	"time"
+)
+
+// Slack is how many goroutines above the baseline a check tolerates,
+// for runtime and testing-package goroutines that come and go on their
+// own.
+const Slack = 2
+
+// settle is how long a check waits for exiting goroutines to be
+// reaped before it fails.
+const settle = 2 * time.Second
+
+// Baseline is a goroutine count taken before the checked work starts.
+type Baseline int
+
+// Start records the current goroutine count.
+func Start() Baseline { return Baseline(runtime.NumGoroutine()) }
+
+// Check fails t unless, within a short settling window, the goroutine
+// count drops back to at most b+Slack.
+func (b Baseline) Check(t testing.TB) {
+	t.Helper()
+	deadline := time.Now().Add(settle)
+	for {
+		n := runtime.NumGoroutine()
+		if n <= int(b)+Slack {
+			return
+		}
+		if !time.Now().Before(deadline) {
+			t.Fatalf("goroutine leak: before=%d after=%d (slack %d)", b, n, Slack)
+			return
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}

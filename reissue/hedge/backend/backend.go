@@ -169,13 +169,18 @@ func (l *BatchLog) Reset() {
 
 // pending is one live request waiting on (or being served by) a
 // replica — the live twin of the simulator's request record, queued
-// through the same sched.Queue code path.
+// through the same sched.Queue code path. A copy that finds its
+// replica idle never needs one.
 type pending struct {
-	modelMS float64
-	work    func()
 	query   int
 	reissue bool
-	conn    int
+	// modelMS, exec and idx are the copy's work and v, err its result,
+	// all used only under Batch, where the serve loop runs the work.
+	modelMS float64
+	exec    func(i int) (any, error)
+	idx     int
+	v       any
+	err     error
 	// cancelled marks a queued copy withdrawn after its context ended;
 	// the server drops it lazily when popped, exactly like the
 	// simulator's cancellation rule. Guarded by the replica's mu.
@@ -212,6 +217,7 @@ type replica struct {
 	serving bool          // Batch: serve-loop goroutine alive
 	fill    chan struct{} // signals a lingering batch that it filled
 	scratch []*pending    // PopBatch destination, reused per launch
+	linger  *time.Timer   // Batch linger window, reused by the serve loop
 }
 
 func newReplica(id int, speed float64, cfg Config) *replica {
@@ -223,28 +229,25 @@ func newReplica(id int, speed float64, cfg Config) *replica {
 	}
 }
 
-// serve executes work on the replica: wait for the server thread in
-// discipline order (cancellable), then hold it for the model service
-// time, running the real computation inside the hold — the model time
-// was calibrated from that computation, so the two overlap rather
-// than add. Service is not preempted once started, matching the
-// simulator's cancellation rule: a context that ends while the copy
-// is still queued withdraws it (lazily — it is discarded when
-// popped), but a copy in service runs to completion and serve
-// returns nil.
+// serve executes exec(idx) on the replica: wait for the server thread
+// in discipline order (cancellable), then hold it for the model
+// service time, running the real computation inside the hold — the
+// model time was calibrated from that computation, so the two overlap
+// rather than add. Service is not preempted once started, matching
+// the simulator's cancellation rule: a context that ends while the
+// copy is still queued withdraws it (lazily — it is discarded when
+// popped) and serve returns the context's error, but a copy in
+// service runs to completion and serve returns exec's result.
 //
 // The hold uses a plain time.Sleep, so it inherits the kernel's
 // timer resolution: short holds are rounded up to the sleep floor
 // and long ones overshoot slightly. SleepResponse/EffectiveModelTimes
 // measure that response so the simulator can be driven with the
 // service times the replicas actually deliver.
-func (r *replica) serve(ctx context.Context, modelMS float64, query int, reissue bool, conn int, work func()) error {
+func (r *replica) serve(ctx context.Context, modelMS float64, query int, reissue bool, conn int,
+	exec func(i int) (any, error), idx int) (any, error) {
 	if r.disc == sched.Batch {
-		return r.serveBatched(ctx, modelMS, query, reissue, conn, work)
-	}
-	p := &pending{
-		modelMS: modelMS, work: work,
-		query: query, reissue: reissue, conn: conn,
+		return r.serveBatched(ctx, modelMS, query, reissue, conn, exec, idx)
 	}
 	r.mu.Lock()
 	if !r.busy {
@@ -255,7 +258,7 @@ func (r *replica) serve(ctx context.Context, modelMS float64, query int, reissue
 		r.busy = true
 		r.mu.Unlock()
 	} else {
-		p.started = make(chan struct{})
+		p := &pending{query: query, reissue: reissue, started: make(chan struct{})}
 		r.q.Push(p, reissue, conn)
 		r.mu.Unlock()
 		select {
@@ -265,7 +268,7 @@ func (r *replica) serve(ctx context.Context, modelMS float64, query int, reissue
 			if !p.inService {
 				p.cancelled = true
 				r.mu.Unlock()
-				return ctx.Err()
+				return nil, ctx.Err()
 			}
 			// The baton arrived between cancellation and the lock:
 			// this copy holds the server now, so it must serve.
@@ -274,12 +277,12 @@ func (r *replica) serve(ctx context.Context, modelMS float64, query int, reissue
 		}
 	}
 	deadline := time.Now().Add(time.Duration(modelMS * r.speed * float64(r.unit)))
-	work()
+	v, err := exec(idx)
 	if rem := time.Until(deadline); rem > 0 {
 		time.Sleep(rem)
 	}
 	r.release()
-	return nil
+	return v, err
 }
 
 // release passes the server thread to the next live queued copy in
@@ -305,10 +308,11 @@ func (r *replica) release() {
 // serveBatched admits the copy to the scheduling core and waits for
 // the batch serve loop (spawned lazily, alive only while the queue is
 // non-empty) to run it inside a batch.
-func (r *replica) serveBatched(ctx context.Context, modelMS float64, query int, reissue bool, conn int, work func()) error {
+func (r *replica) serveBatched(ctx context.Context, modelMS float64, query int, reissue bool, conn int,
+	exec func(i int) (any, error), idx int) (any, error) {
 	p := &pending{
-		modelMS: modelMS, work: work,
-		query: query, reissue: reissue, conn: conn,
+		query: query, reissue: reissue,
+		modelMS: modelMS, exec: exec, idx: idx,
 		done: make(chan struct{}),
 	}
 	r.mu.Lock()
@@ -327,19 +331,19 @@ func (r *replica) serveBatched(ctx context.Context, modelMS float64, query int, 
 
 	select {
 	case <-p.done:
-		return nil
+		return p.v, p.err
 	case <-ctx.Done():
 	}
 	r.mu.Lock()
 	if !p.inService {
 		p.cancelled = true
 		r.mu.Unlock()
-		return ctx.Err()
+		return nil, ctx.Err()
 	}
 	r.mu.Unlock()
 	// Already in service: non-preemption — wait out the hold.
 	<-p.done
-	return nil
+	return p.v, p.err
 }
 
 // loop is the Batch replica's server thread. It drains the scheduling
@@ -364,6 +368,12 @@ func (r *replica) loop() {
 // the fill channel playing the role of the early-launch path and the
 // timer the role of the linger event. Called with r.mu held; returns
 // with it held.
+//
+// One timer serves every wait. A fill wakeup stops it and drains a
+// fired value without blocking; a value sent after that drain (the
+// timer firing concurrently with the fill) can only wake a later
+// wait early, and every wait re-checks the fill level and the
+// remaining window before serving, so membership is unaffected.
 func (r *replica) serveBatch() {
 	if r.q.Waiting() < r.bcfg.Size && r.bcfg.LingerMS > 0 {
 		windowEnd := time.Now().Add(time.Duration(r.bcfg.LingerMS * float64(r.unit)))
@@ -373,9 +383,20 @@ func (r *replica) serveBatch() {
 				break
 			}
 			r.mu.Unlock()
+			if r.linger == nil {
+				r.linger = time.NewTimer(rem)
+			} else {
+				r.linger.Reset(rem)
+			}
 			select {
 			case <-r.fill:
-			case <-time.After(rem):
+				if !r.linger.Stop() {
+					select {
+					case <-r.linger.C:
+					default:
+					}
+				}
+			case <-r.linger.C:
 			}
 			r.mu.Lock()
 		}
@@ -399,7 +420,7 @@ func (r *replica) serveBatch() {
 	svc := r.bcfg.Cost.Service(maxMS, len(batch)) * r.speed * float64(r.unit)
 	deadline := time.Now().Add(time.Duration(svc))
 	for _, p := range batch {
-		p.work()
+		p.v, p.err = p.exec(p.idx)
 	}
 	if rem := time.Until(deadline); rem > 0 {
 		time.Sleep(rem)
@@ -692,6 +713,10 @@ func OpenLoopAt(ctx context.Context, unit time.Duration, times []float64,
 	latencies := make([]float64, n)
 	errs := make(chan error, n)
 	var wg sync.WaitGroup
+	// One timer paces every arrival. It is re-armed only after its
+	// value was received, so it is expired and drained at each Reset;
+	// the cancellation exit stops it.
+	var pace *time.Timer
 	start := time.Now()
 	for i := 0; i < n; i++ {
 		if i > 0 {
@@ -700,9 +725,15 @@ func OpenLoopAt(ctx context.Context, unit time.Duration, times []float64,
 			// arrival but does not drift the rate of the whole run.
 			deadline := start.Add(time.Duration(times[i] * float64(unit)))
 			if wait := time.Until(deadline); wait > 0 {
+				if pace == nil {
+					pace = time.NewTimer(wait)
+				} else {
+					pace.Reset(wait)
+				}
 				select {
-				case <-time.After(wait):
+				case <-pace.C:
 				case <-ctx.Done():
+					pace.Stop()
 					// Issued queries unwind through their ctx error;
 					// wait for the do calls AND their copy
 					// goroutines, or in-flight copies leak past the
@@ -772,14 +803,6 @@ func (c *Cluster) Request(i int) hedge.Fn {
 	conn := i % c.cfg.Connections
 	return func(ctx context.Context, attempt int) (any, error) {
 		r := c.replicas[(base+attempt)%len(c.replicas)]
-		var v any
-		var err error
-		serr := r.serve(ctx, c.times[idx], i, attempt > 0, conn, func() {
-			v, err = c.exec(idx)
-		})
-		if serr != nil {
-			return nil, serr
-		}
-		return v, err
+		return r.serve(ctx, c.times[idx], i, attempt > 0, conn, c.exec, idx)
 	}
 }

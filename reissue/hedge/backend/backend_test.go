@@ -3,12 +3,12 @@ package backend
 import (
 	"context"
 	"errors"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/kvstore"
+	"repro/internal/leakcheck"
 	"repro/internal/searchengine"
 	"repro/reissue"
 	"repro/reissue/hedge"
@@ -186,7 +186,7 @@ func TestRunOpenLoopCancelWaitsForCopies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := runtime.NumGoroutine()
+	leaks := leakcheck.Start()
 	client, err := hedge.New(hedge.Config{
 		Policy: reissue.SingleR{D: 1, Q: 1}, Unit: time.Millisecond, LetLoserRun: true, Seed: 3,
 	})
@@ -202,15 +202,8 @@ func TestRunOpenLoopCancelWaitsForCopies(t *testing.T) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	// RunOpenLoop already waited for the client, so no copy goroutines
-	// may outlive the call; allow only the runtime's own wiggle room.
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if runtime.NumGoroutine() <= before+2 {
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	t.Fatalf("goroutines: before=%d after=%d — copies leaked past RunOpenLoop", before, runtime.NumGoroutine())
+	// may outlive the call.
+	leaks.Check(t)
 }
 
 // TestNewCustomBackend checks the generic constructor: an arbitrary
@@ -268,5 +261,26 @@ func TestMeasuredSourcePrimaries(t *testing.T) {
 	}
 	if got := m.Reissues(); got != 1 {
 		t.Errorf("Reissues() = %d, want 1", got)
+	}
+}
+
+// TestRequestAllocs pins the serving path's allocation ceiling: the
+// query's Fn is the one allocation, and a copy that finds its replica
+// idle runs without a pending record or a work closure.
+func TestRequestAllocs(t *testing.T) {
+	back, err := NewCustom([]float64{0}, func(int) (any, error) { return nil, nil }, Config{
+		Replicas: 2, Unit: unit,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	got := testing.AllocsPerRun(200, func() {
+		if _, err := back.Request(3)(ctx, 0); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > 1 {
+		t.Errorf("Request + idle serve: %.1f allocs/op, ceiling 1", got)
 	}
 }

@@ -4,11 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/leakcheck"
 	"repro/reissue"
 )
 
@@ -150,7 +150,7 @@ func TestMidPlanContextExpiry(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := mustClient(t, Config{Policy: pol, Seed: 1})
-	before := runtime.NumGoroutine()
+	leaks := leakcheck.Start()
 
 	// The context dies at 4 model-ms: after the first reissue (delay
 	// 1) dispatches, far before the second (delay 500) would.
@@ -186,12 +186,5 @@ func TestMidPlanContextExpiry(t *testing.T) {
 		t.Errorf("Attempts[2].Dispatched = %d, want 0", s.Attempts[2].Dispatched)
 	}
 
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if runtime.NumGoroutine() <= before+2 {
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	t.Fatalf("goroutines: before=%d after=%d", before, runtime.NumGoroutine())
+	leaks.Check(t)
 }

@@ -39,6 +39,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -283,28 +284,31 @@ func (c *Client) currentPolicy() reissue.Policy {
 	return c.static
 }
 
-// plan samples the current policy's reissue schedule and maps each
-// sampled delay to its attempt number. For MultipleR (and DoubleR)
-// the attempt number is the configured delay's slot — 1 + its index
-// in Delays — so a copy's routing and the winning-attempt histogram
-// identify which of the policy's reissue times fired. For every
-// other policy the attempt number is the position in the sampled
-// plan.
-func (c *Client) plan() (delays []float64, slots []int) {
+// plan samples the current policy's reissue schedule into delays and
+// slots (appending, so a caller passing reusable buffers plans
+// without allocating) and maps each sampled delay to its attempt
+// number. For MultipleR (and DoubleR) the attempt number is the
+// configured delay's slot — 1 + its index in Delays — so a copy's
+// routing and the winning-attempt histogram identify which of the
+// policy's reissue times fired. For every other policy the attempt
+// number is the position in the sampled plan.
+func (c *Client) plan(delays []float64, slots []int) ([]float64, []int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	pol := c.static
 	if c.adapter != nil {
 		pol = c.adapter.Policy()
 	}
-	if mr, ok := pol.(reissue.MultipleR); ok {
-		delays, slots = mr.PlanSlots(c.rng)
-	} else {
-		delays = pol.Plan(c.rng)
-		slots = make([]int, len(delays))
-		for i := range slots {
-			slots[i] = i + 1
-		}
+	switch p := pol.(type) {
+	case reissue.MultipleR:
+		delays, slots = p.AppendPlanSlots(c.rng, delays, slots)
+	case reissue.PlanAppender:
+		delays = p.AppendPlan(c.rng, delays)
+	default:
+		delays = append(delays, pol.Plan(c.rng)...)
+	}
+	for i := len(slots); i < len(delays); i++ {
+		slots = append(slots, i+1)
 	}
 	// Cover every slot this query can dispatch (slots are ascending)
 	// while the lock is held, so the per-copy accounting on the hot
@@ -392,18 +396,57 @@ func (p *planBySlotDelay) Swap(i, j int) {
 	p.slots[i], p.slots[j] = p.slots[j], p.slots[i]
 }
 
-// outcome is one copy's terminal report.
+// outcome is one copy's terminal report, or a release report for
+// planned copies that will never be dispatched.
 type outcome struct {
 	attempt int
 	val     any
 	err     error
 	rt      float64 // response time in policy units, valid when executed
-	skipped bool    // copy was never dispatched (query done, or cancelled first)
+	// released, when positive, marks a report for that many planned
+	// copies settled undispatched (query done, or cancelled first);
+	// no copy ran and the other fields are unset.
+	released int
 }
 
 // ErrAllCopiesFailed wraps the primary's error when every dispatched
 // copy of a query failed.
 var ErrAllCopiesFailed = errors.New("hedge: all copies failed")
+
+// inlinePlan is the plan length a call holds without allocating: the
+// repository's policies plan at most a few reissue times.
+const inlinePlan = 4
+
+// call is one Do invocation's state, allocated once per query. The
+// primary goroutine, the plan timer's callbacks and the collector
+// share it; everything but done, next and results is written before
+// the goroutine or timer that reads it is started.
+type call struct {
+	c     *Client
+	fn    Fn
+	start time.Time
+	// ctx is the copies' context: cancelled when a winner exists
+	// (unless LetLoserRun) and once every dispatched copy has
+	// reported.
+	ctx     context.Context
+	cancel  context.CancelFunc
+	results chan outcome
+	// done is the completion flag the plan timer checks before
+	// dispatching a copy (the paper's client harness).
+	done atomic.Bool
+
+	// plan/slots are the sorted sampled delays and their attempt
+	// numbers, backed by the inline buffers when they fit.
+	plan    []float64
+	slots   []int
+	planBuf [inlinePlan]float64
+	slotBuf [inlinePlan]int
+	// timer fires at plan[next]; nil when nothing is planned. next is
+	// atomic because a settling collector reads it after Stop, which
+	// orders nothing for the race detector.
+	timer *time.Timer
+	next  atomic.Int32
+}
 
 // Do executes one request under the hedging policy: it dispatches fn
 // as the primary immediately, schedules a redundant copy at each
@@ -430,110 +473,32 @@ func (c *Client) Do(ctx context.Context, fn Fn) (any, error) {
 		c.cancelled.Add(1)
 		return nil, err
 	}
-	start := time.Now()
-	plan, slots := c.plan()
-
-	hctx, cancel := context.WithCancel(ctx)
-	// timerCtx releases planned-but-undispatched copies the moment a
-	// winner exists: with LetLoserRun the losing dispatched copies
-	// keep running on hctx, but a copy that was never sent has
-	// nothing to finish — without this its timer goroutine would
-	// park for the full delay and stall Wait.
-	timerCtx, timerCancel := context.WithCancel(hctx)
-	copies := 1 + len(plan)
-	results := make(chan outcome, copies)
-	var done atomic.Bool
-
-	run := func(attempt int) {
-		t0 := time.Now()
-		v, err := c.execute(hctx, fn, attempt)
-		results <- outcome{attempt: attempt, val: v, err: err,
-			rt: float64(time.Since(t0)) / float64(c.unit)}
-	}
+	cl := &call{c: c, fn: fn, start: time.Now()}
+	cl.plan, cl.slots = c.plan(cl.planBuf[:0], cl.slotBuf[:0])
+	cl.ctx, cl.cancel = context.WithCancel(ctx)
+	copies := 1 + len(cl.plan)
+	cl.results = make(chan outcome, copies)
 
 	c.noteDispatch(0)
 	c.wg.Add(1)
-	go func() {
-		defer c.wg.Done()
-		run(0)
-	}()
+	go cl.run(0)
 
-	// The plan's (ascending) delays share ONE timer, Reset between
-	// attempts, instead of a fresh time.Timer per planned copy; every
-	// exit path leaves it stopped and drained. A scheduler goroutine
-	// waits on the timer and — exactly like the old per-copy timer
-	// goroutines — runs a dispatched copy INLINE, so no runqueue hop
-	// is added on the latency-critical dispatch path (on a loaded
-	// single-core box that hop measurably delays reissues). When a
-	// mid-plan attempt dispatches, the remaining schedule (and the
-	// timer) is handed to a fresh goroutine first: the handoff cost
-	// lands on the timer-waiting path, where the next attempt is
-	// milliseconds away anyway.
-	if len(plan) > 0 {
+	if len(cl.plan) > 0 {
 		// The Policy contract says plans are ascending, and every
-		// in-repo family complies; the shared-timer walk below depends
+		// in-repo family complies; the one-timer walk in fire depends
 		// on it, so restore order for a foreign policy that violates
 		// the contract rather than silently dispatching its earlier
 		// delays late.
-		if !sort.Float64sAreSorted(plan) {
-			sort.Sort(&planBySlotDelay{plan, slots})
+		if !sort.Float64sAreSorted(cl.plan) {
+			sort.Sort(&planBySlotDelay{cl.plan, cl.slots})
 		}
-		delayFor := func(i int) time.Duration {
-			// Delays are relative to Do's start; re-anchor each Reset
-			// so waiting for earlier attempts is not added onto later
-			// ones.
-			d := time.Duration(plan[i]*float64(c.unit)) - time.Since(start)
-			if d < 0 {
-				d = 0
-			}
-			return d
-		}
-		timer := time.NewTimer(delayFor(0))
-		var schedule func(i int, needReset bool)
-		schedule = func(i int, needReset bool) {
-			defer c.wg.Done()
-			for ; i < len(plan); i++ {
-				attempt := slots[i]
-				if needReset {
-					// The timer is expired and drained (previous wait
-					// ended via <-timer.C), so Reset is safe.
-					timer.Reset(delayFor(i))
-				}
-				needReset = true
-				select {
-				case <-timerCtx.Done():
-					if !timer.Stop() {
-						<-timer.C
-					}
-					// Release this and every later planned copy: the
-					// timer context only closes once the query is
-					// decided, so none of them will dispatch.
-					for j := i; j < len(plan); j++ {
-						results <- outcome{attempt: slots[j], err: timerCtx.Err(), skipped: true}
-					}
-					return
-				case <-timer.C:
-				}
-				// The paper's client checks a completion flag before
-				// actually sending the reissue.
-				if done.Load() {
-					results <- outcome{attempt: attempt, skipped: true}
-					continue
-				}
-				c.reissued.Add(1)
-				c.noteDispatch(attempt)
-				if i+1 < len(plan) {
-					// Hand the rest of the plan (and timer ownership)
-					// off before running this copy inline.
-					c.wg.Add(1)
-					go schedule(i+1, true)
-				}
-				run(attempt)
-				return
-			}
-		}
+		// The plan holds one WaitGroup count until every planned copy
+		// is dispatched or released, so Wait covers the timer too.
 		c.wg.Add(1)
-		go schedule(0, false)
+		// Created idle and armed only once stored: fire reads
+		// cl.timer, and Reset orders the store before the callback.
+		cl.timer = time.AfterFunc(math.MaxInt64, cl.fire)
+		cl.timer.Reset(cl.delay(0))
 	}
 
 	// Collect until a winner emerges; then hand the rest to a drain
@@ -541,35 +506,39 @@ func (c *Client) Do(ctx context.Context, fn Fn) (any, error) {
 	var winner outcome
 	var won bool
 	var primaryErr error
-	remaining := copies
-	for remaining > 0 {
-		o := <-results
-		remaining--
-		c.record(o, &primaryErr)
-		if !o.skipped && o.err == nil {
-			winner, won = o, true
-			break
+	pending := copies
+	callerDone := ctx.Done()
+	for pending > 0 && !won {
+		select {
+		case o := <-cl.results:
+			if o.released > 0 {
+				pending -= o.released
+				continue
+			}
+			pending--
+			c.record(o, &primaryErr)
+			if o.err == nil {
+				winner, won = o, true
+			}
+		case <-callerDone:
+			// The caller walked away: release the undispatched plan
+			// now (the dispatched copies unwind through cl.ctx, a
+			// child of ctx) and keep collecting.
+			callerDone = nil
+			pending -= cl.settle()
 		}
 	}
 
 	if won {
-		done.Store(true)
-		timerCancel()
+		pending -= cl.settle()
 		if !c.cfg.LetLoserRun {
-			cancel()
+			cl.cancel()
 		}
-		if remaining > 0 {
+		if pending > 0 {
 			c.wg.Add(1)
-			go func(remaining int) {
-				defer c.wg.Done()
-				defer cancel()
-				var discard error
-				for ; remaining > 0; remaining-- {
-					c.record(<-results, &discard)
-				}
-			}(remaining)
+			go cl.drain(pending)
 		} else {
-			cancel()
+			cl.cancel()
 		}
 		switch winner.attempt {
 		case 0:
@@ -578,15 +547,14 @@ func (c *Client) Do(ctx context.Context, fn Fn) (any, error) {
 			c.reissueWins.Add(1)
 		}
 		c.completed.Add(1)
-		c.observeWin(winner.attempt, float64(time.Since(start))/float64(c.unit))
+		c.observeWin(winner.attempt, float64(time.Since(cl.start))/float64(c.unit))
 		return winner.val, nil
 	}
 
 	// No copy succeeded. A cancelled or expired caller context is the
 	// caller walking away, not an all-copies-failed backend outcome —
 	// count the two separately so Failures keeps meaning what it says.
-	timerCancel()
-	cancel()
+	cl.cancel()
 	c.completed.Add(1)
 	if err := ctx.Err(); err != nil {
 		c.cancelled.Add(1)
@@ -603,6 +571,119 @@ func (c *Client) Do(ctx context.Context, fn Fn) (any, error) {
 	}
 	c.failures.Add(1)
 	return nil, fmt.Errorf("%w: %w", ErrAllCopiesFailed, primaryErr)
+}
+
+// run executes one dispatched copy and reports its outcome; it owns
+// one WaitGroup count, taken by whoever dispatched it.
+func (cl *call) run(attempt int) {
+	defer cl.c.wg.Done()
+	t0 := time.Now()
+	v, err := cl.c.execute(cl.ctx, cl.fn, attempt)
+	cl.results <- outcome{attempt: attempt, val: v, err: err,
+		rt: float64(time.Since(t0)) / float64(cl.c.unit)}
+}
+
+// delay is how long from now plan slot i is due. Delays are relative
+// to Do's start, so waiting for earlier slots is not added onto later
+// ones.
+func (cl *call) delay(i int) time.Duration {
+	d := time.Duration(cl.plan[i]*float64(cl.c.unit)) - time.Since(cl.start)
+	if d < 0 {
+		d = 0
+	}
+	return d
+}
+
+// fire is the plan timer's callback for slot next. It runs in the
+// goroutine the timer starts and runs the dispatched copy there, so
+// the dispatch path has exactly one wakeup: on a loaded small machine
+// an extra runqueue hop measurably delays (and so suppresses)
+// reissues. Before running the copy it re-arms the timer for the next
+// slot, so later slots do not wait for this copy.
+//
+// Undispatched slots are released exactly once. The collector sets
+// done and then calls Stop; when Stop returns true the timer was
+// pending and the collector subtracts the remaining slots itself.
+// When it returns false a callback is running or about to run: one
+// that has not yet checked the query releases the slots below, and
+// one that already dispatched and re-armed checks again after Reset
+// and releases them if its own Stop wins.
+func (cl *call) fire() {
+	c := cl.c
+	i := int(cl.next.Load())
+	// The paper's client checks a completion flag before actually
+	// sending the reissue.
+	if cl.decided() {
+		cl.release()
+		return
+	}
+	attempt := cl.slots[i]
+	c.reissued.Add(1)
+	c.noteDispatch(attempt)
+	// The copy's count is taken before the plan's own count can be
+	// released, so the WaitGroup never touches zero while Wait may be
+	// running.
+	c.wg.Add(1)
+	if i+1 < len(cl.plan) {
+		cl.next.Store(int32(i + 1))
+		cl.timer.Reset(cl.delay(i + 1))
+		if cl.decided() && cl.timer.Stop() {
+			cl.release()
+		}
+	} else {
+		c.wg.Done() // plan exhausted
+	}
+	cl.run(attempt)
+}
+
+// decided reports whether the query needs no more copies: it was
+// settled, or the caller walked away. The caller's cancellation
+// reaches cl.ctx synchronously, so a timer firing before the
+// collector wakes to settle does not send a doomed copy.
+func (cl *call) decided() bool {
+	return cl.done.Load() || cl.ctx.Err() != nil
+}
+
+// release reports the plan slots from next on as never dispatched and
+// drops the plan's WaitGroup count. next is read here, not passed in:
+// a Stop that wins against a later callback's re-arm must release
+// from that callback's slot.
+func (cl *call) release() {
+	cl.results <- outcome{released: len(cl.plan) - int(cl.next.Load())}
+	cl.c.wg.Done()
+}
+
+// settle marks the query done and, if the plan timer was still
+// pending, stops it and returns how many planned slots will now never
+// report (dropping the plan's WaitGroup count). It returns 0 when
+// nothing is planned, the plan is exhausted, or a running callback
+// will release the rest itself; calling it again returns 0.
+func (cl *call) settle() int {
+	cl.done.Store(true)
+	if cl.timer == nil || !cl.timer.Stop() {
+		return 0
+	}
+	released := len(cl.plan) - int(cl.next.Load())
+	cl.c.wg.Done()
+	return released
+}
+
+// drain collects the reports still pending after Do returned, feeding
+// losers' measurements to the trackers, then cancels the copies'
+// context.
+func (cl *call) drain(pending int) {
+	defer cl.c.wg.Done()
+	defer cl.cancel()
+	var discard error
+	for pending > 0 {
+		o := <-cl.results
+		if o.released > 0 {
+			pending -= o.released
+			continue
+		}
+		pending--
+		cl.c.record(o, &discard)
+	}
 }
 
 // execute runs one copy to its terminal outcome, applying the
@@ -666,9 +747,6 @@ func retryable(ctx context.Context, err error) bool {
 // classifies terminal failures into the fault taxonomy, and remembers
 // the primary's error for failure reporting.
 func (c *Client) record(o outcome, primaryErr *error) {
-	if o.skipped {
-		return
-	}
 	if o.err == nil {
 		c.observeCopy(o.attempt, o.rt)
 		if c.cfg.OnCopyComplete != nil {

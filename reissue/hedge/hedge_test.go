@@ -5,12 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/leakcheck"
 	"repro/reissue"
 )
 
@@ -311,7 +311,7 @@ func TestReissueFractionMatchesQ(t *testing.T) {
 
 func TestNoGoroutineLeak(t *testing.T) {
 	c := mustClient(t, Config{Policy: reissue.SingleR{D: 1, Q: 1}, Seed: 3})
-	before := runtime.NumGoroutine()
+	leaks := leakcheck.Start()
 	for i := 0; i < 200; i++ {
 		if _, err := c.Do(context.Background(), func(ctx context.Context, attempt int) (any, error) {
 			if err := sleepFor(ctx, 0.5+float64(i%3)); err != nil {
@@ -323,15 +323,7 @@ func TestNoGoroutineLeak(t *testing.T) {
 		}
 	}
 	c.Wait()
-	// Give exiting goroutines a moment to be reaped.
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if runtime.NumGoroutine() <= before+2 {
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	t.Fatalf("goroutines: before=%d after=%d", before, runtime.NumGoroutine())
+	leaks.Check(t)
 }
 
 // TestOnlineRetuning drives an adaptive client with a bimodal
@@ -525,5 +517,143 @@ func TestUnsortedPlanDispatchedInTimeOrder(t *testing.T) {
 		s.Attempts[1].Dispatched != 1 || s.Attempts[2].Dispatched != 1 ||
 		s.Attempts[1].Wins != 0 || s.Attempts[2].Wins != 1 {
 		t.Errorf("attempt histogram misattributed slots: %+v", s.Attempts)
+	}
+}
+
+// TestDoAllocs pins the per-query allocation ceilings of Do's hot
+// path against an instant backend: one call record, one results
+// channel, the copies' context and the primary's goroutine, plus the
+// plan timer and its callbacks when reissues are planned. A
+// regression here is paid on every live query.
+func TestDoAllocs(t *testing.T) {
+	mr3, err := reissue.NewMultipleR([]float64{0, 0, 0}, []float64{1, 1, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		pol  reissue.Policy
+		max  float64
+	}{
+		{"none", reissue.None{}, 6},
+		{"singled", reissue.SingleD{D: 0}, 11},
+		{"multipler3", mr3, 15},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := mustClient(t, Config{Policy: tc.pol, Seed: 1})
+			fn := func(ctx context.Context, attempt int) (any, error) { return attempt, nil }
+			ctx := context.Background()
+			got := testing.AllocsPerRun(500, func() {
+				if _, err := c.Do(ctx, fn); err != nil {
+					t.Fatal(err)
+				}
+				c.Wait()
+			})
+			if got > tc.max {
+				t.Errorf("Do under %v: %.1f allocs/op, ceiling %.0f", tc.pol, got, tc.max)
+			}
+		})
+	}
+}
+
+// TestConcurrentDoPlanSettlement hammers the plan-settling race —
+// zero delays make every planned copy's timer fire while the
+// collector is settling — and checks the accounting closes: every
+// query completes, every dispatch is either a primary or a counted
+// reissue, and Wait returns (no WaitGroup count is lost or doubled).
+func TestConcurrentDoPlanSettlement(t *testing.T) {
+	pol, err := reissue.NewMultipleR([]float64{0, 0, 0}, []float64{1, 1, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := mustClient(t, Config{Policy: pol, Seed: 5})
+	const workers, perWorker = 50, 100 // 5k queries
+	fn := func(ctx context.Context, attempt int) (any, error) { return attempt, nil }
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				if _, err := c.Do(context.Background(), fn); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	waited := make(chan struct{})
+	go func() {
+		c.Wait()
+		close(waited)
+	}()
+	select {
+	case <-waited:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Wait did not return: a plan's WaitGroup count was never released")
+	}
+	s := c.Snapshot()
+	const total = workers * perWorker
+	if s.Issued != total || s.Completed != total {
+		t.Fatalf("issued/completed = %d/%d, want %d", s.Issued, s.Completed, total)
+	}
+	var dispatched int64
+	for _, a := range s.Attempts {
+		dispatched += a.Dispatched
+	}
+	if dispatched != s.Issued+s.Reissued {
+		t.Errorf("Σ Attempts.Dispatched = %d, want Issued+Reissued = %d (snapshot %+v)",
+			dispatched, s.Issued+s.Reissued, s)
+	}
+}
+
+// TestLetLoserRunReleasesPlannedCopies: under LetLoserRun the losing
+// dispatched copies keep running, but a planned copy that was never
+// sent has nothing to finish — a winner must release it at once, so
+// neither Do nor Wait waits out its 500-unit delay. The second case
+// has a reissue already dispatched (and re-armed for the tail slot)
+// when the primary wins.
+func TestLetLoserRunReleasesPlannedCopies(t *testing.T) {
+	doubleR, err := reissue.DoubleR(1, 1, 500, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		pol  reissue.Policy
+	}{
+		{"planned", reissue.SingleD{D: 500}},
+		{"mid-plan", doubleR},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := mustClient(t, Config{Policy: tc.pol, LetLoserRun: true, Seed: 1})
+			start := time.Now()
+			v, err := c.Do(context.Background(), func(ctx context.Context, attempt int) (any, error) {
+				ms := 10.0
+				if attempt == 0 {
+					ms = 4 // the primary wins, after the delay-1 reissue is sent
+				}
+				if err := sleepFor(ctx, ms); err != nil {
+					return nil, err
+				}
+				return attempt, nil
+			})
+			if err != nil || v.(int) != 0 {
+				t.Fatalf("v, err = %v, %v; want the primary", v, err)
+			}
+			limit := time.Duration(100 * float64(unit))
+			if elapsed := time.Since(start); elapsed > limit {
+				t.Errorf("Do took %v, want < %v", elapsed, limit)
+			}
+			c.Wait()
+			if waited := time.Since(start); waited > limit {
+				t.Errorf("Wait returned after %v, want < %v — planned copy not released", waited, limit)
+			}
+			s := c.Snapshot()
+			if got := s.Attempts[len(s.Attempts)-1].Dispatched; got != 0 {
+				t.Errorf("the 500-unit slot dispatched %d times, want 0", got)
+			}
+		})
 	}
 }

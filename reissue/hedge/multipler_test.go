@@ -3,12 +3,12 @@ package hedge
 import (
 	"context"
 	"math"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/leakcheck"
 	"repro/reissue"
 )
 
@@ -43,7 +43,7 @@ func TestMultipleRExecution(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	before := runtime.NumGoroutine()
+	leaks := leakcheck.Start()
 	var cancelled atomic.Int64
 	fn := func(ctx context.Context, attempt int) (any, error) {
 		// Slow primary, fast reissues: the first reissue dispatched
@@ -136,13 +136,5 @@ func TestMultipleRExecution(t *testing.T) {
 		}
 	}
 
-	// Goroutine-leak check, as in TestNoGoroutineLeak.
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if runtime.NumGoroutine() <= before+2 {
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	t.Fatalf("goroutines: before=%d after=%d", before, runtime.NumGoroutine())
+	leaks.Check(t)
 }

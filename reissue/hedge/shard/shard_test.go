@@ -5,13 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/kvstore"
+	"repro/internal/leakcheck"
 	"repro/reissue"
 	"repro/reissue/hedge"
 	"repro/reissue/hedge/backend"
@@ -350,7 +350,7 @@ func TestOpenLoopAndLiveSystem(t *testing.T) {
 // every copy and fan-out goroutine is reaped by Wait.
 func TestRouterNoGoroutineLeak(t *testing.T) {
 	srcs := kvShards(t, 100, 3, 2, backend.Config{Unit: unit})
-	before := runtime.NumGoroutine()
+	leaks := leakcheck.Start()
 	r, err := New(Config{
 		Shards: srcs,
 		Hedge:  hedge.Config{Policy: reissue.SingleR{D: 1, Q: 1}, Unit: unit, LetLoserRun: true, Seed: 3},
@@ -370,14 +370,7 @@ func TestRouterNoGoroutineLeak(t *testing.T) {
 	}
 	wg.Wait()
 	r.Wait()
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if runtime.NumGoroutine() <= before+2 {
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	t.Fatalf("goroutines: before=%d after=%d", before, runtime.NumGoroutine())
+	leaks.Check(t)
 }
 
 // sourceFunc adapts a bare hedge.Fn to backend.Source for tests.

@@ -189,6 +189,12 @@ func (p MultipleR) AppendPlan(r *stats.RNG, buf []float64) []float64 {
 // configured delays may be equal, which makes recovering them from
 // Plan's compacted output ambiguous.
 func (p MultipleR) PlanSlots(r *stats.RNG) (delays []float64, slots []int) {
+	return p.AppendPlanSlots(r, nil, nil)
+}
+
+// AppendPlanSlots is PlanSlots appending into caller-owned buffers, so
+// an execution engine reusing them plans without allocation.
+func (p MultipleR) AppendPlanSlots(r *stats.RNG, delays []float64, slots []int) ([]float64, []int) {
 	for i, d := range p.Delays {
 		if r.Bool(p.Probs[i]) {
 			delays = append(delays, d)

@@ -171,3 +171,36 @@ func TestMultipleRPlanProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestMultipleRAppendPlanSlots: the appending slot variant samples
+// exactly like Plan — same delays, same RNG consumption — keeps what
+// the buffers already hold, and tags each delay with its slot.
+func TestMultipleRAppendPlanSlots(t *testing.T) {
+	p, err := NewMultipleR([]float64{1, 2, 2, 5}, []float64{0.5, 0.5, 0.5, 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ra, rb := stats.NewRNG(9), stats.NewRNG(9)
+	for i := 0; i < 200; i++ {
+		want := p.Plan(ra)
+		delays, slots := p.AppendPlanSlots(rb, []float64{-1}, []int{-1})
+		if delays[0] != -1 || slots[0] != -1 {
+			t.Fatalf("draw %d: buffer prefix overwritten: %v %v", i, delays, slots)
+		}
+		delays, slots = delays[1:], slots[1:]
+		if len(delays) != len(want) || len(slots) != len(want) {
+			t.Fatalf("draw %d: got %v %v, Plan gave %v", i, delays, slots, want)
+		}
+		for k := range want {
+			if delays[k] != want[k] || p.Delays[slots[k]-1] != delays[k] {
+				t.Fatalf("draw %d: got %v slots %v, Plan gave %v", i, delays, slots, want)
+			}
+			if k > 0 && slots[k] <= slots[k-1] {
+				t.Fatalf("draw %d: slots %v not ascending", i, slots)
+			}
+		}
+	}
+	if ra.Uint64() != rb.Uint64() {
+		t.Error("AppendPlanSlots consumed a different random stream than Plan")
+	}
+}
