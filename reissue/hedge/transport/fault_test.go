@@ -3,10 +3,11 @@ package transport
 import (
 	"context"
 	"errors"
+	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -31,13 +32,7 @@ func TestStatusErrorTyped(t *testing.T) {
 	go srv.Serve(lis)
 	t.Cleanup(func() { srv.Close() })
 
-	var dials atomic.Int64
-	tr := http.DefaultTransport.(*http.Transport).Clone()
-	base := tr.DialContext
-	tr.DialContext = func(ctx context.Context, network, addr string) (net.Conn, error) {
-		dials.Add(1)
-		return base(ctx, network, addr)
-	}
+	tr, dials := countingTransport()
 	client, err := NewClient(ClientConfig{
 		Replicas:   []string{"http://" + lis.Addr().String()},
 		Unit:       unit,
@@ -139,5 +134,50 @@ func TestCloseIsNotFatal(t *testing.T) {
 	}
 	if fe := fatal(); fe != nil {
 		t.Fatalf("fatal() = %v after orderly Close, want nil", fe)
+	}
+}
+
+// TestUndecodableBodyTripsBreaker is the regression test for breaker
+// accounting: a replica answering 200 with a body that does not decode
+// has failed the copy, so with Threshold 1 a single such answer opens
+// its breaker. Success used to be reported before decoding, which kept
+// a garbage-answering replica looking healthy.
+func TestUndecodableBodyTripsBreaker(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.WriteString(w, "garbage")
+	}))
+	t.Cleanup(srv.Close)
+	client, err := NewClient(ClientConfig{
+		Replicas: []string{srv.URL},
+		Unit:     unit,
+		Breaker:  &hedge.BreakerConfig{Threshold: 1, Cooldown: time.Hour},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := client.Request(0)(context.Background(), 0); err == nil {
+		t.Fatal("an undecodable 200 body returned no error")
+	}
+	if st := client.Breaker().State(0); st != hedge.BreakerOpen {
+		t.Fatalf("breaker %v after an undecodable answer, want open", st)
+	}
+}
+
+// TestDialErrorNamesReplica checks that a refused dial — a dead
+// replica — reports which replica it was.
+func TestDialErrorNamesReplica(t *testing.T) {
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := "http://" + lis.Addr().String()
+	lis.Close()
+	client, err := NewClient(ClientConfig{Replicas: []string{addr}, Unit: unit})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = client.Request(0)(context.Background(), 0)
+	if err == nil || !strings.Contains(err.Error(), "transport: replica 0: ") {
+		t.Fatalf("dial to a closed port returned %v, want an error naming replica 0", err)
 	}
 }

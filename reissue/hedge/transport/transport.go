@@ -31,9 +31,24 @@
 // behind the handler — two in-flight requests to one replica server
 // can share a single hold — with membership recorded in the
 // backend's BatchLog exactly as in-process.
+//
+// On the wire, attempt n of query i is GET /query?i=<i>&attempt=<n>,
+// and a replica answers 200 with Content-Type application/json and
+// the body json.NewEncoder(w).Encode(map[string]any{"value": v})
+// writes for the result v; for an int that is exactly {"value":N}\n,
+// N in decimal. Both sides keep this hot case off the general
+// machinery without changing a byte. The server reads i and attempt
+// straight from the raw query (one holding '%', '+' or ';' goes
+// through url.ParseQuery) and writes an int result with strconv. The
+// client hands a body of at most 64 bytes that is exactly
+// {"value":N}\n, N a JSON integer -?(0|[1-9][0-9]*), straight to
+// strconv.ParseFloat, which yields the float64 encoding/json would.
+// Every other result and every other body goes through encoding/json,
+// so any client and server speaking this format interoperate.
 package transport
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -41,6 +56,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -118,19 +134,10 @@ func (s *Server) Served() int64 { return s.served.Load() }
 func (s *Server) Cancelled() int64 { return s.cancelled.Load() }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	i, err := strconv.Atoi(q.Get("i"))
-	if err != nil || i < 0 {
-		http.Error(w, "transport: bad or missing query index", http.StatusBadRequest)
+	i, attempt, err := parseQuery(r.URL.RawQuery)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
-	}
-	attempt := 0
-	if a := q.Get("attempt"); a != "" {
-		attempt, err = strconv.Atoi(a)
-		if err != nil || attempt < 0 {
-			http.Error(w, "transport: bad attempt number", http.StatusBadRequest)
-			return
-		}
 	}
 	// r.Context() is cancelled when the client aborts the request, so
 	// a copy still queued on the replica is reclaimed right here.
@@ -149,8 +156,109 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.served.Add(1)
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
+	if n, ok := v.(int); ok {
+		var buf [32]byte // fits {"value":math.MinInt64}\n
+		w.Write(appendIntValue(buf[:0], n))
+		return
+	}
 	json.NewEncoder(w).Encode(map[string]any{"value": v})
+}
+
+// jsonContentType is shared by every response; net/http only reads
+// the header values a handler sets.
+var jsonContentType = []string{"application/json"}
+
+var (
+	errBadIndex   = errors.New("transport: bad or missing query index")
+	errBadAttempt = errors.New("transport: bad attempt number")
+)
+
+// parseQuery reads the query index and attempt number from a /query
+// request's raw query string, with url.Values.Get semantics: the first
+// occurrence of a key wins and a missing attempt means 0. A raw query
+// holding an escape ('%', '+') or a ';' goes through url.ParseQuery;
+// any other is split in place, which is what ParseQuery would do to it
+// without allocating the map.
+func parseQuery(raw string) (i, attempt int, err error) {
+	var is, as string
+	if strings.ContainsAny(raw, "%+;") {
+		q, _ := url.ParseQuery(raw)
+		is, as = q.Get("i"), q.Get("attempt")
+	} else {
+		is, as = rawQueryValue(raw, "i"), rawQueryValue(raw, "attempt")
+	}
+	i, err = strconv.Atoi(is)
+	if err != nil || i < 0 {
+		return 0, 0, errBadIndex
+	}
+	if as != "" {
+		attempt, err = strconv.Atoi(as)
+		if err != nil || attempt < 0 {
+			return 0, 0, errBadAttempt
+		}
+	}
+	return i, attempt, nil
+}
+
+// rawQueryValue returns the value of key's first occurrence in an
+// unescaped raw query, or "" when key is absent.
+func rawQueryValue(raw, key string) string {
+	for raw != "" {
+		var pair string
+		pair, raw, _ = strings.Cut(raw, "&")
+		if k, v, _ := strings.Cut(pair, "="); k == key {
+			return v
+		}
+	}
+	return ""
+}
+
+// valuePrefix and valueSuffix frame an integer result on the wire:
+// {"value":N} plus the newline json.Encoder appends.
+const (
+	valuePrefix = `{"value":`
+	valueSuffix = "}\n"
+)
+
+// appendIntValue appends the response body for an int result: the
+// bytes json.NewEncoder(w).Encode(map[string]any{"value": n}) writes.
+func appendIntValue(b []byte, n int) []byte {
+	b = append(b, valuePrefix...)
+	b = strconv.AppendInt(b, int64(n), 10)
+	return append(b, valueSuffix...)
+}
+
+// maxFastBody bounds the response bodies decodeIntValue considers.
+const maxFastBody = 64
+
+// decodeIntValue decodes a response body that is exactly
+// {"value":N}\n, N a JSON integer (-?(0|[1-9][0-9]*)), at most
+// maxFastBody bytes long, into the float64 encoding/json would produce
+// for it. It reports false for any other body, which the caller then
+// hands to encoding/json.
+func decodeIntValue(b []byte) (float64, bool) {
+	if len(b) > maxFastBody || !bytes.HasPrefix(b, []byte(valuePrefix)) || !bytes.HasSuffix(b, []byte(valueSuffix)) {
+		return 0, false
+	}
+	num := b[len(valuePrefix) : len(b)-len(valueSuffix)]
+	digits := num
+	if len(digits) > 0 && digits[0] == '-' {
+		digits = digits[1:]
+	}
+	if len(digits) == 0 || (digits[0] == '0' && len(digits) > 1) {
+		return 0, false
+	}
+	for _, c := range digits {
+		if c < '0' || c > '9' {
+			return 0, false
+		}
+	}
+	f, err := strconv.ParseFloat(string(num), 64)
+	if err != nil {
+		return 0, false
+	}
+	return f, true
 }
 
 // ReplicaServer couples a Server with its own loopback listener,
@@ -285,9 +393,13 @@ type ClientConfig struct {
 	// must match the replica servers' backend Unit. Default
 	// time.Millisecond.
 	Unit time.Duration
-	// HTTPClient optionally overrides the HTTP client. The default
-	// keeps enough idle connections per replica that a hedged open
-	// loop reuses connections instead of churning through ports.
+	// HTTPClient optionally supplies the HTTP transport: requests go
+	// straight to its Transport's RoundTrip (http.DefaultTransport when
+	// nil), since this protocol never redirects or sets cookies. A
+	// client with Timeout, Jar or CheckRedirect set is rejected; bound
+	// each attempt through hedge.Config instead. The default keeps
+	// enough idle connections per replica that a hedged open loop
+	// reuses connections instead of churning through ports.
 	HTTPClient *http.Client
 	// Breaker, when set, arms a per-replica circuit breaker: after
 	// Threshold consecutive failures (connection errors, timeouts,
@@ -305,7 +417,7 @@ type ClientConfig struct {
 type Client struct {
 	urls    []string
 	unit    time.Duration
-	hc      *http.Client
+	rt      http.RoundTripper
 	breaker *hedge.Breaker
 }
 
@@ -329,14 +441,22 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		}
 		urls[i] = strings.TrimRight(u, "/")
 	}
-	hc := cfg.HTTPClient
-	if hc == nil {
+	var rt http.RoundTripper
+	if hc := cfg.HTTPClient; hc != nil {
+		if hc.Timeout != 0 || hc.Jar != nil || hc.CheckRedirect != nil {
+			return nil, fmt.Errorf("transport: HTTPClient may set only Transport (Timeout, Jar and CheckRedirect are never applied; bound attempts through hedge.Config)")
+		}
+		rt = hc.Transport
+		if rt == nil {
+			rt = http.DefaultTransport
+		}
+	} else {
 		tr := http.DefaultTransport.(*http.Transport).Clone()
 		tr.MaxIdleConns = 1024
 		tr.MaxIdleConnsPerHost = 256
-		hc = &http.Client{Transport: tr}
+		rt = tr
 	}
-	c := &Client{urls: urls, unit: cfg.Unit, hc: hc}
+	c := &Client{urls: urls, unit: cfg.Unit, rt: rt}
 	if cfg.Breaker != nil {
 		b, err := hedge.NewBreaker(len(urls), *cfg.Breaker)
 		if err != nil {
@@ -373,67 +493,80 @@ func (c *Client) Request(i int) hedge.Fn {
 			}
 			idx = r
 		}
-		url := fmt.Sprintf("%s/query?i=%d&attempt=%d", c.urls[idx], i, attempt)
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-		if err != nil {
-			return nil, fmt.Errorf("transport: %w", err)
+		v, err := c.rpc(ctx, idx, i, attempt)
+		// A replica is healthy only once its answer decodes. A
+		// cancelled copy — a loser aborted on the wire or a 499 echo —
+		// is neutral: it says nothing about the replica. A per-attempt
+		// timeout (DeadlineExceeded) is the failure detector for
+		// stalled replicas, and every other error (a refused dial — a
+		// dead replica —, a 5xx, an undecodable body) is a failure.
+		if c.breaker != nil && !errors.Is(err, context.Canceled) {
+			c.breaker.Report(idx, err == nil)
 		}
-		resp, err := c.hc.Do(req)
-		if err != nil {
-			// A cancelled loser surfaces here as an *url.Error
-			// wrapping context.Canceled; hedge.Client matches it
-			// with errors.Is through this return. Cancellation is
-			// neutral for the breaker, but a per-attempt timeout
-			// (DeadlineExceeded) is the failure detector for stalled
-			// replicas, and any other dial error (connection refused —
-			// a dead replica) is a plain failure.
-			if c.breaker != nil && !errors.Is(err, context.Canceled) {
-				c.breaker.Report(idx, false)
-			}
-			return nil, err
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-			// Drain the rest to EOF: a body with unread bytes keeps the
-			// connection out of the idle pool, so every 499 from a
-			// cancelled loser would otherwise burn its TCP connection
-			// and inflate the wire overhead on the hottest path.
-			io.Copy(io.Discard, resp.Body)
-			if resp.StatusCode == statusClientClosedRequest {
-				// The replica reports the copy cancelled-while-queued.
-				// Usually our own context is already done and the
-				// local ctx error wins the race to this return — but
-				// when the server notices first (its write beats the
-				// local cancellation propagating), the error must
-				// still read as a cancellation, not a replica failure:
-				// hedge.Client classifies by errors.Is(context.
-				// Canceled), and a bare fmt.Errorf here made it count
-				// the query as a backend Failure. Neutral for the
-				// breaker too.
-				return nil, fmt.Errorf("transport: replica %d reported the copy cancelled while queued (%s): %w",
-					idx, strings.TrimSpace(string(msg)), context.Canceled)
-			}
-			if c.breaker != nil {
-				c.breaker.Report(idx, false)
-			}
-			return nil, &StatusError{Replica: idx, Code: resp.StatusCode,
-				Body: strings.TrimSpace(string(msg))}
-		}
-		if c.breaker != nil {
-			c.breaker.Report(idx, true)
-		}
-		var out struct {
-			Value any `json:"value"`
-		}
-		err = json.NewDecoder(resp.Body).Decode(&out)
-		// Drain to EOF so net/http returns the connection to the idle
-		// pool — otherwise every copy pays a fresh TCP handshake and
-		// the measured wire overhead balloons.
-		io.Copy(io.Discard, resp.Body)
-		if err != nil {
-			return nil, fmt.Errorf("transport: decoding replica response: %w", err)
-		}
-		return out.Value, nil
+		return v, err
 	}
+}
+
+// rpc sends the given attempt of query i to replica idx and decodes
+// its answer.
+func (c *Client) rpc(ctx context.Context, idx, i, attempt int) (any, error) {
+	var ub [96]byte
+	u := append(ub[:0], c.urls[idx]...)
+	u = append(u, "/query?i="...)
+	u = strconv.AppendInt(u, int64(i), 10)
+	u = append(u, "&attempt="...)
+	u = strconv.AppendInt(u, int64(attempt), 10)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, string(u), nil)
+	if err != nil {
+		return nil, fmt.Errorf("transport: %w", err)
+	}
+	resp, err := c.rt.RoundTrip(req)
+	if err != nil {
+		// A cancelled loser surfaces here wrapping context.Canceled;
+		// hedge.Client matches it with errors.Is through this return.
+		return nil, fmt.Errorf("transport: replica %d: %w", idx, err)
+	}
+	defer resp.Body.Close()
+	// Drain to EOF on every path: a body with unread bytes keeps the
+	// connection out of the idle pool, so every copy — and every 499
+	// from a cancelled loser, on the hottest path — would otherwise
+	// pay a fresh TCP handshake and inflate the wire overhead.
+	defer io.Copy(io.Discard, resp.Body)
+	if resp.StatusCode != http.StatusOK {
+		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
+		if resp.StatusCode == statusClientClosedRequest {
+			// The replica reports the copy cancelled-while-queued.
+			// Usually our own context is already done and the local
+			// ctx error wins the race to this return — but when the
+			// server notices first (its write beats the local
+			// cancellation propagating), the error must still read as
+			// a cancellation, not a replica failure: hedge.Client
+			// classifies by errors.Is(context.Canceled).
+			return nil, fmt.Errorf("transport: replica %d reported the copy cancelled while queued (%s): %w",
+				idx, strings.TrimSpace(string(msg)), context.Canceled)
+		}
+		return nil, &StatusError{Replica: idx, Code: resp.StatusCode,
+			Body: strings.TrimSpace(string(msg))}
+	}
+	var buf [maxFastBody]byte
+	n, err := io.ReadFull(resp.Body, buf[:])
+	var body io.Reader
+	switch err {
+	case io.EOF, io.ErrUnexpectedEOF: // the whole body is in buf
+		if f, ok := decodeIntValue(buf[:n]); ok {
+			return f, nil
+		}
+		body = bytes.NewReader(buf[:n])
+	case nil: // longer than buf
+		body = io.MultiReader(bytes.NewReader(buf[:]), resp.Body)
+	default:
+		return nil, fmt.Errorf("transport: decoding replica response: %w", err)
+	}
+	var out struct {
+		Value any `json:"value"`
+	}
+	if err := json.NewDecoder(body).Decode(&out); err != nil {
+		return nil, fmt.Errorf("transport: decoding replica response: %w", err)
+	}
+	return out.Value, nil
 }

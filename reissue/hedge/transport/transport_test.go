@@ -5,10 +5,10 @@ import (
 	"errors"
 	"net"
 	"net/http"
+	"net/http/cookiejar"
 	"net/http/httptest"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -73,6 +73,26 @@ func TestClientValidation(t *testing.T) {
 	}
 	if _, err := NewClient(ClientConfig{Replicas: []string{""}}); err == nil {
 		t.Error("NewClient accepted an empty replica URL")
+	}
+	// Requests go straight to the HTTPClient's Transport, so a setting
+	// only http.Client applies would be silently ignored.
+	jar, err := cookiejar.New(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, hc := range map[string]*http.Client{
+		"Timeout": {Timeout: time.Second},
+		"Jar":     {Jar: jar},
+		"CheckRedirect": {CheckRedirect: func(*http.Request, []*http.Request) error {
+			return nil
+		}},
+	} {
+		if _, err := NewClient(ClientConfig{Replicas: []string{"http://x"}, HTTPClient: hc}); err == nil {
+			t.Errorf("NewClient accepted an HTTPClient with %s set", name)
+		}
+	}
+	if _, err := NewClient(ClientConfig{Replicas: []string{"http://x"}, HTTPClient: &http.Client{}}); err != nil {
+		t.Errorf("NewClient rejected an HTTPClient with only defaults: %v", err)
 	}
 }
 
@@ -265,13 +285,7 @@ func TestNon200BodyDrainedForReuse(t *testing.T) {
 	go srv.Serve(lis)
 	t.Cleanup(func() { srv.Close() })
 
-	var dials atomic.Int64
-	tr := http.DefaultTransport.(*http.Transport).Clone()
-	base := tr.DialContext
-	tr.DialContext = func(ctx context.Context, network, addr string) (net.Conn, error) {
-		dials.Add(1)
-		return base(ctx, network, addr)
-	}
+	tr, dials := countingTransport()
 	client, err := NewClient(ClientConfig{
 		Replicas:   []string{"http://" + lis.Addr().String()},
 		Unit:       unit,
