@@ -206,7 +206,7 @@ func run(o options, out io.Writer) (*summary, error) {
 	// fleet so the simulator can be driven with service times that
 	// include it, the same role the sleep-response calibration plays
 	// for the in-process backend.
-	overheadMS, err := measureWireOverhead(client, clusters[0], speeds, 60)
+	overheadMS, err := client.WireOverheadMS(wctx, clusters[0].ModelTimes(), speeds, 60)
 	if err != nil {
 		return nil, err
 	}
@@ -304,32 +304,6 @@ func run(o options, out io.Writer) (*summary, error) {
 		}
 	}
 	return s, nil
-}
-
-// measureWireOverhead times n sequential queries against the idle
-// fleet and subtracts the hold the routed replica actually delivers
-// (the clamped model time through the machine's sleep response, at
-// that replica's speed), returning the median residual in model ms —
-// the per-request cost of crossing the wire.
-func measureWireOverhead(client *transport.Client, back *backend.Cluster, speeds []float64, n int) (float64, error) {
-	sr := backend.MeasureSleepResponse()
-	unit := back.Unit()
-	times := back.ModelTimes()
-	overs := make([]float64, 0, n)
-	for i := 0; i < n; i++ {
-		t0 := time.Now()
-		if _, err := client.Request(i)(context.Background(), 0); err != nil {
-			return 0, fmt.Errorf("calibrating wire overhead: %w", err)
-		}
-		rt := float64(time.Since(t0)) / float64(unit)
-		speed := speeds[backend.PrimaryReplica(i, len(speeds))]
-		hold := float64(sr.Apply(time.Duration(times[i%len(times)]*speed*float64(unit)))) / float64(unit)
-		// Keep negative residuals: dropping them would turn the
-		// median into an upper quantile of the hold-prediction noise
-		// and systematically overstate the overhead.
-		overs = append(overs, rt-hold)
-	}
-	return math.Max(0, pctl(overs, 0.5)), nil
 }
 
 // runMultipleR executes a two-delay DoubleR split of the tuned

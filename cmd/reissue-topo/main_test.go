@@ -11,7 +11,8 @@ import (
 func fast() options {
 	return options{
 		shape:    "tier-over-shards",
-		shards:   2,
+		workload: "kv",
+		shards:   "2",
 		cacheR:   2,
 		storeR:   2,
 		slow:     2.0,
@@ -21,6 +22,7 @@ func fast() options {
 		warmup:   40,
 		util:     0.20,
 		k:        0.95,
+		budget:   0.05,
 		unitMS:   0.2,
 		seed:     3,
 		sim:      true,
@@ -30,22 +32,51 @@ func fast() options {
 	}
 }
 
-func TestRunSmoke(t *testing.T) {
+// shardPreset is fast() on the fan-out preset at the scale of its
+// own smoke run.
+func shardPreset() options {
+	o := fast()
+	o.shape = "shard"
+	o.shards = "1,2"
+	o.queries = 300
+	o.warmup = 50
+	return o
+}
+
+// tierPreset is fast() on the cache→store preset at the scale of its
+// own smoke run.
+func tierPreset() options {
+	o := fast()
+	o.shape = "tier"
+	o.queries = 300
+	o.warmup = 50
+	return o
+}
+
+func runOK(t *testing.T, o options) ([]sweepPoint, string) {
+	t.Helper()
 	var buf bytes.Buffer
-	pts, err := run(fast(), &buf)
+	pts, err := run(o, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := buf.String()
-	for _, want := range []string{
-		"hit 0.60", "tier delay inf", "tier delay 3",
-		"sweep summary", "live: tier", "live: leaf", "sim:",
-	} {
+	return pts, buf.String()
+}
+
+func wantOutput(t *testing.T, out string, wants ...string) {
+	t.Helper()
+	for _, want := range wants {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}
 	}
-	if len(pts) != 2 || !math.IsInf(pts[0].tierDelay, 1) || pts[1].tierDelay != 3 {
+}
+
+func TestRunSmoke(t *testing.T) {
+	pts, out := runOK(t, fast())
+	wantOutput(t, out, "hit 0.60", "tier delay inf", "tier delay 3",
+		"sweep summary", "live: tier", "live: leaf", "sim:")
+	if len(pts) != 2 || !math.IsInf(pts[0].delay, 1) || pts[1].delay != 3 {
 		t.Fatalf("sweep points = %+v", pts)
 	}
 	// With an infinite tier delay the tier rate is the measured miss
@@ -60,21 +91,56 @@ func TestRunShardedTiers(t *testing.T) {
 	o := fast()
 	o.shape = "sharded-tiers"
 	o.delays = "inf"
-	var buf bytes.Buffer
-	pts, err := run(o, &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
+	pts, out := runOK(t, o)
 	// Per-shard caches: every shard has its own tier node and cache
 	// fleet, and the fall-through miss streams pin both worlds.
-	for _, want := range []string{`"shard0"`, `"shard1"`, `"shard0/cache"`, `"shard1/store"`} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output missing %q:\n%s", want, out)
-		}
-	}
+	wantOutput(t, out, `"shard0"`, `"shard1"`, `"shard0/cache"`, `"shard1/store"`)
 	if len(pts) != 1 || pts[0].tierDiff != 0 {
 		t.Fatalf("sweep points = %+v", pts)
+	}
+}
+
+// TestRunShardPreset is the fan-out sweep: one point per shard count,
+// each reporting the mean per-shard reissue rate.
+func TestRunShardPreset(t *testing.T) {
+	pts, out := runOK(t, shardPreset())
+	wantOutput(t, out, "S=1", "S=2", "sweep summary", "mean per-shard reissue rate", "sim:")
+	if len(pts) != 2 || pts[0].shards != 1 || pts[1].shards != 2 {
+		t.Fatalf("sweep points = %+v", pts)
+	}
+}
+
+func TestRunSearchWorkload(t *testing.T) {
+	o := shardPreset()
+	o.workload = "search"
+	o.shards = "2"
+	o.queries = 200
+	o.warmup = 40
+	o.sim = false
+	o.unitMS = 0.05
+	_, out := runOK(t, o)
+	if strings.Contains(out, "sim:") {
+		t.Error("simulator pass printed with -sim=false")
+	}
+}
+
+// TestRunTierPreset is the cache→store sweep over hit rate × tier
+// delay.
+func TestRunTierPreset(t *testing.T) {
+	pts, out := runOK(t, tierPreset())
+	wantOutput(t, out, "hit 0.60", "tier delay inf", "tier delay 3", "sweep summary", "tier rate", "sim:")
+	if len(pts) != 2 || !math.IsInf(pts[0].delay, 1) || pts[1].delay != 3 {
+		t.Fatalf("sweep points = %+v", pts)
+	}
+	// With an infinite tier delay the tier rate is the measured miss
+	// rate, and the miss bits are shared with the simulator bit for
+	// bit — the demo's cross-validation must agree exactly.
+	if pts[0].tierDiff != 0 {
+		t.Errorf("shared miss stream diverged in the demo: max tier |live-sim| = %.6f", pts[0].tierDiff)
+	}
+	// The proactive point consults the store at least as often.
+	if pts[1].tierRate < pts[0].tierRate {
+		t.Errorf("proactive tier rate %.4f below fall-through %.4f", pts[1].tierRate, pts[0].tierRate)
 	}
 }
 
@@ -82,12 +148,8 @@ func TestRunNoSim(t *testing.T) {
 	o := fast()
 	o.delays = "2"
 	o.sim = false
-	var buf bytes.Buffer
-	pts, err := run(o, &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(buf.String(), "sim:") {
+	pts, out := runOK(t, o)
+	if strings.Contains(out, "sim:") {
 		t.Error("simulator pass printed with -sim=false")
 	}
 	if len(pts) != 1 || !math.IsNaN(pts[0].simBasePk) || !math.IsNaN(pts[0].tierDiff) {
@@ -95,18 +157,25 @@ func TestRunNoSim(t *testing.T) {
 	}
 }
 
-func TestRunValidation(t *testing.T) {
-	for name, mutate := range map[string]func(*options){
-		"warmup >= queries": func(o *options) { o.warmup = o.queries },
-		"unknown topology":  func(o *options) { o.shape = "ring" },
-		"zero shards":       func(o *options) { o.shards = 0 },
-		"zero replicas":     func(o *options) { o.cacheR = 0 },
-		"bad hit rate":      func(o *options) { o.hitRates = "1.5" },
-		"malformed rates":   func(o *options) { o.hitRates = "0.5,x" },
-		"negative delay":    func(o *options) { o.delays = "-2" },
-		"inf hit rate":      func(o *options) { o.hitRates = "inf" },
-	} {
-		o := fast()
+func TestRunTierPresetNoSim(t *testing.T) {
+	o := tierPreset()
+	o.delays = "2"
+	o.sim = false
+	pts, out := runOK(t, o)
+	if strings.Contains(out, "sim:") {
+		t.Error("simulator pass printed with -sim=false")
+	}
+	if len(pts) != 1 || !math.IsNaN(pts[0].simBasePk) || !math.IsNaN(pts[0].tierDiff) {
+		t.Fatalf("sweep points = %+v", pts)
+	}
+}
+
+// wantRejected runs each mutation of base and fails on any that run
+// accepts.
+func wantRejected(t *testing.T, base options, cases map[string]func(*options)) {
+	t.Helper()
+	for name, mutate := range cases {
+		o := base
 		mutate(&o)
 		if _, err := run(o, &bytes.Buffer{}); err == nil {
 			t.Errorf("run accepted %s", name)
@@ -114,6 +183,45 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
+func TestRunValidation(t *testing.T) {
+	wantRejected(t, fast(), map[string]func(*options){
+		"warmup >= queries": func(o *options) { o.warmup = o.queries },
+		"unknown topology":  func(o *options) { o.shape = "ring" },
+		"zero shards":       func(o *options) { o.shards = "0" },
+		"zero replicas":     func(o *options) { o.cacheR = 0 },
+		"bad hit rate":      func(o *options) { o.hitRates = "1.5" },
+		"malformed rates":   func(o *options) { o.hitRates = "0.5,x" },
+		"negative delay":    func(o *options) { o.delays = "-2" },
+		"inf hit rate":      func(o *options) { o.hitRates = "inf" },
+		"unknown workload":  func(o *options) { o.workload = "bogus" },
+	})
+}
+
+func TestRunShardPresetValidation(t *testing.T) {
+	wantRejected(t, shardPreset(), map[string]func(*options){
+		"unknown workload":  func(o *options) { o.workload = "bogus" },
+		"malformed shards":  func(o *options) { o.shards = "2,zero" },
+		"warmup >= queries": func(o *options) { o.warmup = o.queries },
+		"zero replicas":     func(o *options) { o.storeR = 0 },
+	})
+}
+
+func TestRunTierPresetValidation(t *testing.T) {
+	wantRejected(t, tierPreset(), map[string]func(*options){
+		"warmup >= queries":   func(o *options) { o.warmup = o.queries },
+		"zero cache replicas": func(o *options) { o.cacheR = 0 },
+		"zero store replicas": func(o *options) { o.storeR = 0 },
+		"bad hit rate":        func(o *options) { o.hitRates = "1.5" },
+		"malformed rates":     func(o *options) { o.hitRates = "0.5,x" },
+		"negative delay":      func(o *options) { o.delays = "-2" },
+		"inf hit rate":        func(o *options) { o.hitRates = "inf" },
+		"search workload":     func(o *options) { o.workload = "search" },
+	})
+}
+
+// TestSlotPath pins the path-to-slot collapse behind the per-slot rate
+// summaries: only exact shard<k> segments merge, and merged shards
+// report their mean rate.
 func TestSlotPath(t *testing.T) {
 	for in, want := range map[string]string{
 		"":                "",
@@ -125,8 +233,13 @@ func TestSlotPath(t *testing.T) {
 		"shard1/shard12":  "shard/shard",
 		"shardless/cache": "shardless/cache",
 	} {
-		if got := slotPath(in); got != want {
-			t.Errorf("slotPath(%q) = %q, want %q", in, got, want)
+		got := slotRates(map[string]float64{in: 0.25})
+		if len(got) != 1 || got[want] != 0.25 {
+			t.Errorf("slotRates({%q: 0.25}) = %v, want {%q: 0.25}", in, got, want)
 		}
+	}
+	got := slotRates(map[string]float64{"store/shard0": 0.2, "store/shard1": 0.4, "cache": 0.1})
+	if len(got) != 2 || math.Abs(got["store/shard"]-0.3) > 1e-12 || got["cache"] != 0.1 {
+		t.Errorf("slotRates merged to %v, want store/shard 0.3 and cache 0.1", got)
 	}
 }

@@ -140,10 +140,20 @@ func TestLetLoserRunObservesBothCopies(t *testing.T) {
 		Seed:        1,
 	})
 	var finished atomic.Int64
+	// The primary holds until the reissue has started, so a timer
+	// that fires late on a loaded machine still finds it running.
+	reissued := make(chan struct{})
 	_, err := c.Do(context.Background(), func(ctx context.Context, attempt int) (any, error) {
 		ms := 2.0
 		if attempt == 0 {
+			select {
+			case <-reissued:
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
 			ms = 10.0 // slow primary, but allowed to finish
+		} else {
+			close(reissued)
 		}
 		if err := sleepFor(ctx, ms); err != nil {
 			return nil, err

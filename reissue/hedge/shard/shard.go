@@ -15,8 +15,8 @@
 // probability — Dean and Barroso's "at scale, the slower servers
 // dominate" observation. Trimming each shard's tail with a small
 // per-shard reissue budget therefore pays super-linearly on the
-// end-to-end latency, which is precisely what the agreement tests
-// and cmd/reissue-shard measure.
+// end-to-end latency, which is precisely what reissue/hedge/topo's
+// shard agreement test and `reissue-topo -topo shard` measure.
 //
 // The package composes the existing layers rather than re-building
 // them: each shard is any backend.Source (an in-process
@@ -320,20 +320,4 @@ func (r *Router) Snapshot() Snapshot {
 	s.P99 = r.tracker.Quantile(0.99)
 	r.mu.Unlock()
 	return s
-}
-
-// RunOpenLoop replays the first n trace queries through the router at
-// open-loop Poisson arrival rate lambda (queries per model
-// millisecond) — every arrival fans out to all shards at one instant,
-// exactly as the sharded simulator schedules it — and returns each
-// query's end-to-end (max-over-shards) latency in model milliseconds,
-// in query order. The driver (absolute-deadline arrivals,
-// cancellation, waiting out in-flight copies) is backend.OpenLoop;
-// the first sub-query error aborts nothing — all issued queries run
-// to completion and the error is returned after the trace drains.
-func RunOpenLoop(ctx context.Context, r *Router, n int, lambda float64, seed uint64) ([]float64, error) {
-	return backend.OpenLoop(ctx, r.unit, n, lambda, seed, func(ctx context.Context, i int) error {
-		_, err := r.Do(ctx, i)
-		return err
-	}, r.Wait)
 }

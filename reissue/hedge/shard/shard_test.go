@@ -306,46 +306,6 @@ func TestShardFailureIsFailureCancellationIsNot(t *testing.T) {
 	}
 }
 
-// TestOpenLoopAndLiveSystem drives the live sharded fleet at light
-// load and checks the measurement plumbing: every post-warmup query
-// contributes an end-to-end latency at least as large as each
-// shard's primary response, warmup is excluded everywhere, and the
-// per-shard reissue rates match their copy logs.
-func TestOpenLoopAndLiveSystem(t *testing.T) {
-	const n, warmup, shards = 300, 50, 2
-	srcs := kvShards(t, n, shards, 2, backend.Config{Unit: unit})
-	sys := &LiveSystem{
-		Shards: srcs, N: n, Warmup: warmup,
-		Lambda: 0.25, Seed: 7,
-	}
-	run := sys.Run(reissue.SingleR{D: 0, Q: 0.5})
-	if len(run.Query) != n-warmup {
-		t.Fatalf("got %d query samples, want %d", len(run.Query), n-warmup)
-	}
-	for s := 0; s < shards; s++ {
-		ps := run.PerShard[s]
-		if len(ps.Primary) != n-warmup {
-			t.Fatalf("shard %d: %d primary samples, want %d", s, len(ps.Primary), n-warmup)
-		}
-		if len(ps.Reissue) == 0 {
-			t.Fatalf("shard %d: no reissue response times collected", s)
-		}
-		if math.Abs(ps.ReissueRate-0.5) > 0.09 {
-			t.Fatalf("shard %d reissue rate %.3f far from Q=0.5", s, ps.ReissueRate)
-		}
-		if run.ShardRates[s] != ps.ReissueRate {
-			t.Fatalf("shard %d rate mismatch: %v vs %v", s, run.ShardRates[s], ps.ReissueRate)
-		}
-	}
-	wantMean := (run.ShardRates[0] + run.ShardRates[1]) / 2
-	if math.Abs(run.MeanRate-wantMean) > 1e-12 {
-		t.Fatalf("MeanRate %v != mean of shard rates %v", run.MeanRate, wantMean)
-	}
-	if tl := run.TailLatency(0.5); math.IsNaN(tl) || tl <= 0 {
-		t.Fatalf("end-to-end median %v", tl)
-	}
-}
-
 // TestRouterNoGoroutineLeak runs a hedged fan-out burst and checks
 // every copy and fan-out goroutine is reaped by Wait.
 func TestRouterNoGoroutineLeak(t *testing.T) {

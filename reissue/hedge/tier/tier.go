@@ -23,7 +23,8 @@
 // (internal/cluster.Graph) replays the same topology on virtual
 // time — sharing the cache-hit Bernoulli stream bit for bit, so both
 // worlds miss on the same queries — for sim-vs-live
-// cross-validation; see cmd/reissue-tier.
+// cross-validation; reissue/hedge/topo builds both worlds from one
+// spec, and `reissue-topo -topo tier` runs them.
 package tier
 
 import (
@@ -556,20 +557,6 @@ func (c *Client) Snapshot() Snapshot {
 	s.P99 = c.tracker.Quantile(0.99)
 	c.mu.Unlock()
 	return s
-}
-
-// RunOpenLoop replays the first n trace queries through the tier
-// client at open-loop Poisson arrival rate lambda (queries per model
-// millisecond) and returns each query's end-to-end latency in model
-// milliseconds, in query order. The driver (absolute-deadline
-// arrivals, cancellation, waiting out in-flight copies) is
-// backend.OpenLoop — the same loop behind the single-fleet and
-// sharded runtimes.
-func RunOpenLoop(ctx context.Context, c *Client, n int, lambda float64, seed uint64) ([]float64, error) {
-	return backend.OpenLoop(ctx, c.unit, n, lambda, seed, func(ctx context.Context, i int) error {
-		_, err := c.Do(ctx, i)
-		return err
-	}, c.Wait)
 }
 
 // NewKVCache stands a kvstore cache view up as a live replicated

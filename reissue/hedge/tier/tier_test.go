@@ -436,100 +436,3 @@ func TestKVCacheBackend(t *testing.T) {
 		t.Error("NewKVCache accepted a nil workload")
 	}
 }
-
-// TestLiveSystemMeasurement pins the LiveSystem measurement contract
-// on a deterministic scripted fleet: warmup is excluded per tier, the
-// tier rate matches the scripted miss pattern, and per-tier reissue
-// rates use per-tier denominators.
-func TestLiveSystemMeasurement(t *testing.T) {
-	const n, warmup = 240, 40
-	// Every third query misses; the rest are fast hits.
-	miss := func(i int) bool { return i%3 == 0 }
-	cacheFull := &indexedSource{unitD: unit, fn: func(i int) (any, error) {
-		if miss(i) {
-			return Miss{}, nil
-		}
-		return "cached", nil
-	}}
-	store := constSource(2, "stored", nil)
-	sys := &LiveSystem{
-		Cache: cacheFull, Store: store,
-		TierDelay: math.Inf(1),
-		N:         n, Warmup: warmup,
-		Lambda: 0.05, Seed: 9,
-	}
-	res := sys.Run(reissue.None{}, reissue.None{})
-	measured := n - warmup
-	if len(res.Query) != measured {
-		t.Fatalf("got %d query samples, want %d", len(res.Query), measured)
-	}
-	if len(res.Cache.Primary) != measured {
-		t.Fatalf("got %d cache primaries, want %d (warmup excluded)", len(res.Cache.Primary), measured)
-	}
-	wantMisses := 0
-	for i := warmup; i < n; i++ {
-		if miss(i) {
-			wantMisses++
-		}
-	}
-	wantRate := float64(wantMisses) / float64(measured)
-	if math.Abs(res.TierRate-wantRate) > 1e-9 {
-		t.Errorf("TierRate %.4f, want %.4f (the scripted miss pattern)", res.TierRate, wantRate)
-	}
-	if len(res.Store.Primary) != wantMisses {
-		t.Errorf("got %d store primaries, want %d", len(res.Store.Primary), wantMisses)
-	}
-	if res.Cache.ReissueRate != 0 || res.Store.ReissueRate != 0 {
-		t.Errorf("None policies reissued: %+v / %+v", res.Cache.ReissueRate, res.Store.ReissueRate)
-	}
-	for name, bad := range map[string]func(){
-		"no tiers":   func() { (&LiveSystem{N: 10, Lambda: 1}).Run(reissue.None{}, reissue.None{}) },
-		"bad warmup": func() { s := *sys; s.Warmup = s.N; s.Run(reissue.None{}, reissue.None{}) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("LiveSystem accepted %s", name)
-				}
-			}()
-			bad()
-		}()
-	}
-}
-
-// indexedSource answers by query index after a fixed 1 model-ms hold.
-type indexedSource struct {
-	unitD time.Duration
-	fn    func(i int) (any, error)
-}
-
-func (s *indexedSource) Unit() time.Duration { return s.unitD }
-func (s *indexedSource) Request(i int) hedge.Fn {
-	return func(ctx context.Context, attempt int) (any, error) {
-		t := time.NewTimer(time.Duration(1 * float64(s.unitD)))
-		defer t.Stop()
-		select {
-		case <-t.C:
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-		return s.fn(i)
-	}
-}
-
-// TestRunOpenLoopAborts pins the open-loop driver plumbing: a
-// cancelled run returns the context error without leaking copies.
-func TestRunOpenLoopAborts(t *testing.T) {
-	cache := constSource(50, Miss{}, nil)
-	store := constSource(50, "stored", nil)
-	c := mustTier(t, Config{Cache: cache, Store: store, TierDelay: 1})
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(time.Duration(30 * float64(unit)))
-		cancel()
-	}()
-	if _, err := RunOpenLoop(ctx, c, 500, 0.5, 5); !errors.Is(err, context.Canceled) {
-		t.Fatalf("RunOpenLoop returned %v, want context.Canceled", err)
-	}
-	c.Wait()
-}

@@ -7,13 +7,15 @@
 // declarative Spec.
 //
 // The twinning discipline is the package's reason to exist. Both
-// worlds share the arrival process (same open-loop Poisson seed), the
-// effective service trace (the nominal workload passed through the
-// machine's measured sleep response, plus the calibrated wire
-// overhead for HTTP fleets), and each tier's Bernoulli hit stream —
-// so a live run and a simulated run of the same Spec are the same
-// experiment, and their reissue-rate and tail statistics can be
-// compared within tolerance. Reissue coins are structurally
+// worlds share the arrival rate and seed (the live open loop draws its
+// instants from stats.NewRNG(seed), the simulator from
+// NewRNG(seed).Split(1), so the two see statistically identical but
+// not equal arrival instants), the effective service trace (the
+// nominal workload passed through the machine's measured sleep
+// response, plus the calibrated wire overhead for HTTP fleets), and
+// each tier's Bernoulli hit stream — so a live run and a simulated run
+// of the same Spec are the same experiment, and their reissue-rate and
+// tail statistics can be compared within tolerance. Reissue coins are structurally
 // independent per hedged edge in both worlds: the builder accumulates
 // the SAME per-edge seed salts along the graph path that the live
 // constructors apply internally (tier.New salts its store client by
@@ -27,8 +29,8 @@
 //
 // Policies are per-run, not per-topology: RunSpec.Policies maps SLOT
 // paths — concrete paths with every "shard<k>" segment collapsed to
-// "shard", because a shard fan-out hedges all shards from one
-// template — to within-fleet reissue policies. Composite edges (a
+// "shard" (see SlotOf), because a shard fan-out hedges all shards from
+// one template — to within-fleet reissue policies. Composite edges (a
 // hedging client wrapping a tier or a router) always run
 // reissue.None: replica diversity lives inside the subgraph, and
 // reissue-the-whole-subtree has no simulator twin. The builder
@@ -40,11 +42,13 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/kvstore"
+	"repro/internal/searchengine"
 	"repro/internal/stats"
 	"repro/reissue"
 	"repro/reissue/hedge"
@@ -85,17 +89,13 @@ type FleetSpec struct {
 // topology, with arbitrary subgraphs where the router has fleets.
 type ShardSpec struct {
 	// N is the number of shards; the workload is partitioned N ways
-	// (kvstore.Partition), every query touching all shards.
+	// (kvstore.Partition or searchengine.GenerateShardedWorkload),
+	// every query touching all shards.
 	N int
 	// Child is the per-shard subgraph; all shards are uniform, as in
 	// a real partitioned deployment (and as required for the single
 	// hedge template shard.New applies across shards).
 	Child Spec
-	// Deadline is the fan-out's end-to-end budget in model
-	// milliseconds, handed to shard.Config.Deadline. Live runs only:
-	// the simulator twin has no deadline model, so leave it zero in
-	// sim/live parity runs. Zero means no budget.
-	Deadline float64
 }
 
 // TierSpec puts a cache fleet in front of a store subgraph.
@@ -113,11 +113,6 @@ type TierSpec struct {
 	Cache FleetSpec
 	// Store is the authoritative tier: any subgraph.
 	Store Spec
-	// Deadline is the tier query's end-to-end budget in model
-	// milliseconds, handed to tier.Config.Deadline. Live runs only:
-	// the simulator twin has no deadline model, so leave it zero in
-	// sim/live parity runs. Zero means no budget.
-	Deadline float64
 }
 
 // Options parametrizes Build.
@@ -133,15 +128,104 @@ type Options struct {
 	// stream is further salted by its path, so nested tiers draw
 	// independently).
 	Seed uint64
-	// WireProbes is the number of calibration requests per HTTP fleet
-	// used to measure the wire overhead folded into the simulator
-	// trace. Default 40.
-	WireProbes int
+}
+
+// wireProbes is the number of idle calibration requests per HTTP
+// fleet behind the wire overhead folded into the simulator trace.
+const wireProbes = 40
+
+// Workload is the query trace a topology replays, built by KV or
+// Search; the trace format stays behind the interface.
+type Workload interface {
+	// serve stands the workload up as a live replicated cluster.
+	serve(cfg backend.Config) (*backend.Cluster, error)
+	// partition splits the workload n ways for a shard node.
+	partition(n int) ([]Workload, error)
+	// cacheView draws a tier's Bernoulli hit stream over the workload.
+	cacheView(cc kvstore.CacheConfig) (*kvstore.CacheWorkload, error)
+}
+
+// KV wraps a kvstore set-intersection workload, which every node form
+// accepts. A nil or empty workload yields nil, which Build rejects.
+func KV(w *kvstore.Workload) Workload {
+	if w == nil || len(w.Queries) == 0 {
+		return nil
+	}
+	return kvWorkload{w}
+}
+
+type kvWorkload struct{ w *kvstore.Workload }
+
+func (k kvWorkload) serve(cfg backend.Config) (*backend.Cluster, error) {
+	return backend.NewKV(k.w, cfg)
+}
+
+func (k kvWorkload) partition(n int) ([]Workload, error) {
+	parts, err := k.w.Partition(n)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]Workload, len(parts))
+	for i, p := range parts {
+		out[i] = kvWorkload{p}
+	}
+	return out, nil
+}
+
+func (k kvWorkload) cacheView(cc kvstore.CacheConfig) (*kvstore.CacheWorkload, error) {
+	return k.w.CacheView(cc)
+}
+
+// Search wraps a search-engine workload. Fleet and shard nodes accept
+// it: a shard node partitions the corpus with
+// searchengine.GenerateShardedWorkload, so every shard replays the
+// same query trace over its slice of the documents. A tier node
+// returns an error (its cache is a kvstore view), as does a shard node
+// nested under another shard (a partition does not partition again).
+func Search(cfg searchengine.WorkloadConfig) Workload {
+	return &searchWorkload{cfg: cfg}
+}
+
+// searchWorkload is the whole corpus (w nil: generated from cfg on
+// every serve, which is deterministic) or one partition of it.
+type searchWorkload struct {
+	cfg searchengine.WorkloadConfig
+	w   *searchengine.Workload
+}
+
+func (s *searchWorkload) serve(cfg backend.Config) (*backend.Cluster, error) {
+	w := s.w
+	if w == nil {
+		var err error
+		if w, err = searchengine.GenerateWorkload(s.cfg); err != nil {
+			return nil, err
+		}
+	}
+	return backend.NewSearch(w, cfg)
+}
+
+func (s *searchWorkload) partition(n int) ([]Workload, error) {
+	if s.w != nil {
+		return nil, fmt.Errorf("a search partition cannot be partitioned again")
+	}
+	parts, err := searchengine.GenerateShardedWorkload(s.cfg, n)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]Workload, len(parts))
+	for i, p := range parts {
+		out[i] = &searchWorkload{w: p}
+	}
+	return out, nil
+}
+
+func (s *searchWorkload) cacheView(kvstore.CacheConfig) (*kvstore.CacheWorkload, error) {
+	return nil, fmt.Errorf("a tier needs a kv workload (its cache is a kvstore cache view)")
 }
 
 // coinSalt decorrelates policy coins from the arrival stream — the
-// same constant backend.LiveSystem and tier.LiveSystem apply, so a
-// degenerate topo run replays their coin streams exactly.
+// same constant backend.LiveSystem applies, so a degenerate topo run
+// replays its coin stream exactly.
 const coinSalt = 0x94d049bb133111eb
 
 type nodeKind int
@@ -180,9 +264,6 @@ type node struct {
 	// Tier nodes.
 	delay float64
 	cw    *kvstore.CacheWorkload
-	// deadline is the live-only model-ms budget (tier and shard
-	// nodes); zero when unset.
-	deadline float64
 
 	// children: [cache, store] for tiers, per-shard for shards.
 	children []*node
@@ -223,17 +304,21 @@ func hitSeed(base uint64, path string) uint64 {
 	return base ^ stats.Mix64NonZero(h)
 }
 
-// slotOf collapses every shard<k> path segment to "shard".
-func slotOf(path string) string {
+// shardSeg names shard k's path segment.
+func shardSeg(k int) string { return "shard" + strconv.Itoa(k) }
+
+// SlotOf maps a concrete node path to its policy slot: every segment
+// that is exactly a shard segment — "shard" followed by a canonical
+// decimal index, as the builder names them — collapses to "shard".
+// Any other segment ("shard1x", "shard-1", "shard01") is kept as is.
+func SlotOf(path string) string {
 	if path == "" {
 		return ""
 	}
 	segs := strings.Split(path, "/")
 	for i, s := range segs {
-		if strings.HasPrefix(s, "shard") {
-			if _, err := fmt.Sscanf(s, "shard%d", new(int)); err == nil {
-				segs[i] = "shard"
-			}
+		if k, err := strconv.Atoi(strings.TrimPrefix(s, "shard")); err == nil && k >= 0 && s == shardSeg(k) {
+			segs[i] = "shard"
 		}
 	}
 	return strings.Join(segs, "/")
@@ -244,8 +329,8 @@ func slotOf(path string) string {
 // transport client), every tier's shared hit stream, the effective
 // service traces for the simulator twin, and the per-edge seed salts.
 // The returned Topology owns the HTTP servers; Close releases them.
-func Build(w *kvstore.Workload, spec Spec, opt Options) (*Topology, error) {
-	if w == nil || len(w.Queries) == 0 {
+func Build(w Workload, spec Spec, opt Options) (*Topology, error) {
+	if w == nil {
 		return nil, fmt.Errorf("topo: nil or empty workload")
 	}
 	if opt.Unit < 0 {
@@ -254,15 +339,12 @@ func Build(w *kvstore.Workload, spec Spec, opt Options) (*Topology, error) {
 	if opt.Unit == 0 {
 		opt.Unit = time.Millisecond
 	}
-	if opt.WireProbes <= 0 {
-		opt.WireProbes = 40
-	}
 	t := &Topology{
 		unit:       opt.Unit,
 		opt:        opt,
 		leaves:     map[string]*node{},
 		slotKind:   map[string]nodeKind{},
-		maxQueries: len(w.Queries),
+		maxQueries: math.MaxInt,
 	}
 	root, err := t.build(w, spec, "", "", 0, 0)
 	if err != nil {
@@ -273,7 +355,7 @@ func Build(w *kvstore.Workload, spec Spec, opt Options) (*Topology, error) {
 	return t, nil
 }
 
-func (t *Topology) build(w *kvstore.Workload, spec Spec, path, slot string, saltP, saltS uint64) (*node, error) {
+func (t *Topology) build(w Workload, spec Spec, path, slot string, saltP, saltS uint64) (*node, error) {
 	set := 0
 	for _, on := range []bool{spec.Fleet != nil, spec.Shard != nil, spec.Tier != nil} {
 		if on {
@@ -285,15 +367,14 @@ func (t *Topology) build(w *kvstore.Workload, spec Spec, path, slot string, salt
 	}
 	switch {
 	case spec.Fleet != nil:
-		mk := func(cfg backend.Config) (*backend.Cluster, error) { return backend.NewKV(w, cfg) }
-		return t.buildFleet(*spec.Fleet, mk, path, slot, saltP, saltS)
+		return t.buildFleet(*spec.Fleet, w.serve, path, slot, saltP, saltS)
 
 	case spec.Shard != nil:
-		parts, err := w.Partition(spec.Shard.N)
+		parts, err := w.partition(spec.Shard.N)
 		if err != nil {
 			return nil, fmt.Errorf("topo: shard %q: %w", path, err)
 		}
-		n := &node{kind: kindShard, path: path, slot: slot, saltP: saltP, saltS: saltS, deadline: spec.Shard.Deadline}
+		n := &node{kind: kindShard, path: path, slot: slot, saltP: saltP, saltS: saltS}
 		for k, part := range parts {
 			cp, cs := saltP, saltS
 			if k > 0 {
@@ -303,7 +384,7 @@ func (t *Topology) build(w *kvstore.Workload, spec Spec, path, slot string, salt
 				cp ^= stats.ShardSalt(k)
 				cs ^= stats.ShardSalt(k)
 			}
-			ch, err := t.build(part, spec.Shard.Child, join(path, fmt.Sprintf("shard%d", k)), join(slot, "shard"), cp, cs)
+			ch, err := t.build(part, spec.Shard.Child, join(path, shardSeg(k)), join(slot, "shard"), cp, cs)
 			if err != nil {
 				return nil, err
 			}
@@ -320,7 +401,7 @@ func (t *Topology) build(w *kvstore.Workload, spec Spec, path, slot string, salt
 		if math.IsNaN(ts.TierDelay) || ts.TierDelay < 0 {
 			return nil, fmt.Errorf("topo: tier %q: TierDelay=%v must be non-negative (math.Inf(1) disables the proactive hedge)", path, ts.TierDelay)
 		}
-		cw, err := w.CacheView(kvstore.CacheConfig{HitRate: ts.HitRate, Seed: hitSeed(t.opt.Seed, path)})
+		cw, err := w.cacheView(kvstore.CacheConfig{HitRate: ts.HitRate, Seed: hitSeed(t.opt.Seed, path)})
 		if err != nil {
 			return nil, fmt.Errorf("topo: tier %q: %w", path, err)
 		}
@@ -341,7 +422,7 @@ func (t *Topology) build(w *kvstore.Workload, spec Spec, path, slot string, salt
 		}
 		n := &node{
 			kind: kindTier, path: path, slot: slot, saltP: saltP, saltS: saltS,
-			delay: ts.TierDelay, cw: cw, deadline: ts.Deadline, children: []*node{cacheN, storeN},
+			delay: ts.TierDelay, cw: cw, children: []*node{cacheN, storeN},
 		}
 		t.slotKind[slot] = kindTier
 		return n, nil
@@ -407,7 +488,8 @@ func (t *Topology) buildFleet(fs FleetSpec, mk func(backend.Config) (*backend.Cl
 		if err != nil {
 			return nil, fmt.Errorf("topo: fleet %q: %w", path, err)
 		}
-		over, err := measureWireOverheadMS(client, back.ModelTimes(), n.speeds, t.opt.WireProbes, t.unit)
+		//lint:allow ctxflow calibration probe at build time, before any caller context exists
+		over, err := client.WireOverheadMS(context.Background(), back.ModelTimes(), n.speeds, wireProbes)
 		if err != nil {
 			return nil, fmt.Errorf("topo: fleet %q: %w", path, err)
 		}
@@ -422,32 +504,6 @@ func (t *Topology) buildFleet(fs FleetSpec, mk func(backend.Config) (*backend.Cl
 	t.leaves[path] = n
 	t.slotKind[slot] = kindFleet
 	return n, nil
-}
-
-// measureWireOverheadMS estimates the per-request HTTP overhead in
-// model milliseconds as the median residual between measured
-// round-trip times and the sleep-response-corrected service holds
-// over sequential idle probes — the same calibration the HTTP
-// agreement tests apply before feeding the simulator.
-func measureWireOverheadMS(client *transport.Client, times, speeds []float64, probes int, unit time.Duration) (float64, error) {
-	sr := backend.MeasureSleepResponse()
-	overs := make([]float64, 0, probes)
-	for i := 0; i < probes; i++ {
-		t0 := time.Now()
-		//lint:allow ctxflow calibration probe at build time, before any caller context exists
-		if _, err := client.Request(i)(context.Background(), 0); err != nil {
-			return 0, fmt.Errorf("calibrating wire overhead: %w", err)
-		}
-		rt := float64(time.Since(t0)) / float64(unit)
-		speed := 1.0
-		if len(speeds) > 0 {
-			speed = speeds[backend.PrimaryReplica(i, len(speeds))]
-		}
-		hold := float64(sr.Apply(time.Duration(times[i%len(times)]*speed*float64(unit)))) / float64(unit)
-		overs = append(overs, rt-hold)
-	}
-	sort.Float64s(overs)
-	return math.Max(0, overs[len(overs)/2]), nil
 }
 
 // Close tears down the topology's HTTP replica servers. Safe to call
@@ -523,6 +579,12 @@ type Result struct {
 	// within-fleet reissue rate: reissue copies over the leaf's
 	// dispatched sub-queries.
 	LeafRates map[string]float64
+	// LeafResp maps each fleet leaf's concrete path to its
+	// post-warmup response-time log over the leaf's dispatched
+	// sub-queries, in query order: the primary copies' response times
+	// live, the sub-queries' in the simulator — the same statistic
+	// under reissue.None, so either world's baseline can tune a policy.
+	LeafResp map[string][]float64
 	// TierRates maps each tier node's concrete path to the fraction
 	// of its dispatched queries that sent a store sub-query.
 	TierRates map[string]float64
@@ -594,7 +656,7 @@ func (t *Topology) RunLive(rs RunSpec) (*Result, error) {
 		return nil, err
 	}
 	coinSeed := rs.Seed ^ coinSalt
-	out := &Result{LeafRates: map[string]float64{}, TierRates: map[string]float64{}}
+	out := &Result{LeafRates: map[string]float64{}, LeafResp: map[string][]float64{}, TierRates: map[string]float64{}}
 	var probes []func(*Result)
 	// waiters collects every constructed client's Wait, registered
 	// bottom-up; the driver calls them outermost-first (reverse
@@ -615,7 +677,10 @@ func (t *Topology) RunLive(rs RunSpec) (*Result, error) {
 		m := backend.NewMeasuredSource(src, rs.Warmup)
 		if ch.kind == kindFleet {
 			path := ch.path
-			probes = append(probes, func(out *Result) { out.LeafRates[path] = leafRate(m) })
+			probes = append(probes, func(out *Result) {
+				out.LeafRates[path] = leafRate(m)
+				out.LeafResp[path], _ = m.Logs()
+			})
 		}
 		return m
 	}
@@ -644,7 +709,6 @@ func (t *Topology) RunLive(rs RunSpec) (*Result, error) {
 					LetLoserRun: true,
 					Seed:        coinSeed ^ n.saltP,
 				},
-				Deadline: n.deadline,
 			})
 			if err != nil {
 				return nil, fmt.Errorf("topo: %q: %w", n.path, err)
@@ -671,7 +735,6 @@ func (t *Topology) RunLive(rs RunSpec) (*Result, error) {
 				CacheHedge: hedge.Config{Policy: polFor(cacheN.slot), LetLoserRun: true, Seed: coinSeed ^ n.saltP},
 				StoreHedge: hedge.Config{Policy: polFor(storeN.slot), LetLoserRun: true, Seed: coinSeed ^ n.saltP},
 				TierDelay:  n.delay,
-				Deadline:   n.deadline,
 			})
 			if err != nil {
 				return nil, fmt.Errorf("topo: %q: %w", n.path, err)
@@ -763,7 +826,8 @@ func (t *Topology) RunLive(rs RunSpec) (*Result, error) {
 // RunSim replays the same trial on the virtual-time cluster twin: one
 // simulator leaf per fleet over the fleet's effective trace, composed
 // through internal/cluster's graph combinators with the SAME arrival
-// seed, hit streams, and per-leaf seed salts the live run uses.
+// rate and seed, hit streams, and per-leaf seed salts the live run
+// uses.
 func (t *Topology) RunSim(rs RunSpec) (*Result, error) {
 	polFor, err := t.policies(rs.Policies)
 	if err != nil {
@@ -818,8 +882,8 @@ func (t *Topology) RunSim(rs RunSpec) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	gr := g.Run(func(path string) reissue.Policy { return polFor(slotOf(path)) })
-	return &Result{Query: gr.Query, LeafRates: gr.LeafRates, TierRates: gr.TierRates}, nil
+	gr := g.Run(func(path string) reissue.Policy { return polFor(SlotOf(path)) })
+	return &Result{Query: gr.Query, LeafRates: gr.LeafRates, LeafResp: gr.LeafResp, TierRates: gr.TierRates}, nil
 }
 
 // Hits exposes the Bernoulli hit stream of the tier at the given

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/kvstore"
+	"repro/internal/searchengine"
 	"repro/reissue"
 )
 
@@ -42,15 +43,24 @@ func testOptions() Options {
 	return Options{MinServiceMS: 1.0, Seed: 11}
 }
 
+// testSearch is a small search workload for the fast tests.
+func testSearch(n int) Workload {
+	return Search(searchengine.WorkloadConfig{
+		Corpus:     searchengine.CorpusConfig{NumDocs: 400, VocabSize: 400, Seed: 4},
+		NumQueries: n, Seed: 5,
+	})
+}
+
 func TestBuildValidation(t *testing.T) {
-	w := testWorkload(t, 40)
+	w := KV(testWorkload(t, 40))
 	cases := []struct {
 		name string
-		w    *kvstore.Workload
+		w    Workload
 		spec Spec
 		want string
 	}{
-		{"nil workload", nil, fleet(2), "empty workload"},
+		{"nil workload", KV(nil), fleet(2), "empty workload"},
+		{"empty workload", KV(&kvstore.Workload{}), fleet(2), "empty workload"},
 		{"no form", w, Spec{}, "exactly one"},
 		{"two forms", w, Spec{Fleet: &FleetSpec{Replicas: 2}, Shard: &ShardSpec{N: 2, Child: fleet(2)}}, "exactly one"},
 		{"zero shards", w, Spec{Shard: &ShardSpec{N: 0, Child: fleet(2)}}, "at least one shard"},
@@ -59,6 +69,10 @@ func TestBuildValidation(t *testing.T) {
 		{"negative tier delay", w, Spec{Tier: &TierSpec{HitRate: 0.5, TierDelay: -1, Cache: FleetSpec{Replicas: 2}, Store: fleet(2)}}, "TierDelay"},
 		{"hit rate out of range", w, Spec{Tier: &TierSpec{HitRate: 1.5, TierDelay: 4, Cache: FleetSpec{Replicas: 2}, Store: fleet(2)}}, "hit rate"},
 		{"nested bad child", w, Spec{Shard: &ShardSpec{N: 2, Child: Spec{}}}, "exactly one"},
+		{"search tier", testSearch(40), Spec{Tier: &TierSpec{HitRate: 0.5, TierDelay: 4, Cache: FleetSpec{Replicas: 2}, Store: fleet(2)}}, "kv workload"},
+		{"search tier under shard", testSearch(40), Spec{Shard: &ShardSpec{N: 2, Child: Spec{Tier: &TierSpec{HitRate: 0.5, TierDelay: 4, Cache: FleetSpec{Replicas: 2}, Store: fleet(2)}}}}, "kv workload"},
+		{"nested search partition", testSearch(40), Spec{Shard: &ShardSpec{N: 2, Child: Spec{Shard: &ShardSpec{N: 2, Child: fleet(2)}}}}, "partitioned again"},
+		{"zero search shards", testSearch(40), Spec{Shard: &ShardSpec{N: 0, Child: fleet(2)}}, "at least one shard"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -72,24 +86,32 @@ func TestBuildValidation(t *testing.T) {
 
 func TestSlotOf(t *testing.T) {
 	cases := map[string]string{
-		"":               "",
-		"cache":          "cache",
-		"shard0":         "shard",
-		"shard12":        "shard",
-		"store/shard1":   "store/shard",
-		"shard2/cache":   "shard/cache",
-		"store/shardful": "store/shardful", // not a shard index segment
+		"":                "",
+		"cache":           "cache",
+		"shard0":          "shard",
+		"shard12":         "shard",
+		"store/shard1":    "store/shard",
+		"shard2/cache":    "shard/cache",
+		"shard1/shard12":  "shard/shard",
+		"store/shardful":  "store/shardful", // not a shard index segment
+		"shardless/cache": "shardless/cache",
+		"store/shard0x":   "store/shard0x",
+		// Only the builder's exact spelling is a shard segment.
+		"shard1x": "shard1x",
+		"shard-1": "shard-1",
+		"shard01": "shard01",
+		"shard+1": "shard+1",
 	}
 	for in, want := range cases {
-		if got := slotOf(in); got != want {
-			t.Errorf("slotOf(%q) = %q, want %q", in, got, want)
+		if got := SlotOf(in); got != want {
+			t.Errorf("SlotOf(%q) = %q, want %q", in, got, want)
 		}
 	}
 }
 
 func TestTopologyBasics(t *testing.T) {
 	w := testWorkload(t, 60)
-	tp, err := Build(w, depth2Spec(), testOptions())
+	tp, err := Build(KV(w), depth2Spec(), testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +146,7 @@ func TestTopologyBasics(t *testing.T) {
 
 func TestPolicyValidation(t *testing.T) {
 	w := testWorkload(t, 60)
-	tp, err := Build(w, depth2Spec(), testOptions())
+	tp, err := Build(KV(w), depth2Spec(), testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +179,7 @@ func TestPolicyValidation(t *testing.T) {
 
 func TestRunSpecValidation(t *testing.T) {
 	w := testWorkload(t, 60)
-	tp, err := Build(w, fleet(2), testOptions())
+	tp, err := Build(KV(w), fleet(2), testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +213,7 @@ func TestRunSimShardDegenerateIdentity(t *testing.T) {
 		Policies: map[string]reissue.Policy{"shard": reissue.SingleR{D: 4, Q: 0.3}},
 	}
 
-	wrapped, err := Build(w, Spec{Shard: &ShardSpec{N: 1, Child: fleet(3)}}, opt)
+	wrapped, err := Build(KV(w), Spec{Shard: &ShardSpec{N: 1, Child: fleet(3)}}, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +222,7 @@ func TestRunSimShardDegenerateIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	plain, err := Build(w, fleet(3), opt)
+	plain, err := Build(KV(w), fleet(3), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +257,7 @@ func TestRunSimTierDegenerateIdentity(t *testing.T) {
 		Cache:     FleetSpec{Replicas: 3},
 		Store:     fleet(4),
 	}}
-	tp, err := Build(w, spec, testOptions())
+	tp, err := Build(KV(w), spec, testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +310,7 @@ func TestRunLiveSmoke(t *testing.T) {
 	w := testWorkload(t, 80)
 	opt := testOptions()
 	opt.Unit = 200 * time.Microsecond
-	tp, err := Build(w, depth2Spec(), opt)
+	tp, err := Build(KV(w), depth2Spec(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,5 +345,123 @@ func TestRunLiveSmoke(t *testing.T) {
 	}
 	if !math.IsNaN(res.TailLatency(0.5)) && res.TailLatency(0.5) <= 0 {
 		t.Errorf("median %v, want positive", res.TailLatency(0.5))
+	}
+}
+
+// TestSearchWorkload builds the search workload as a plain fleet and
+// as a 2-shard fan-out and replays both in the simulator: every shard
+// replays the full query trace over its slice of the corpus, and
+// LeafResp carries each fleet's measured log.
+func TestSearchWorkload(t *testing.T) {
+	const n, warmup = 60, 10
+	rs := RunSpec{N: n, Warmup: warmup, Lambda: 0.05, Seed: 3}
+	for _, tc := range []struct {
+		spec  Spec
+		paths []string
+	}{
+		{fleet(2), []string{""}},
+		{Spec{Shard: &ShardSpec{N: 2, Child: fleet(2)}}, []string{"shard0", "shard1"}},
+	} {
+		tp, err := Build(testSearch(n), tc.spec, testOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tp.MaxQueries() != n {
+			t.Errorf("MaxQueries = %d, want the %d-query trace", tp.MaxQueries(), n)
+		}
+		res, err := tp.RunSim(rs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Query) != n-warmup {
+			t.Fatalf("measured %d queries, want %d", len(res.Query), n-warmup)
+		}
+		for _, p := range tc.paths {
+			if len(res.LeafResp[p]) != n-warmup {
+				t.Errorf("LeafResp[%q] has %d entries, want %d", p, len(res.LeafResp[p]), n-warmup)
+			}
+		}
+	}
+}
+
+// measureN and measureWarmup size the live measurement-contract runs;
+// measureOpt runs them at a half-millisecond unit.
+const measureN, measureWarmup = 300, 50
+
+var measureOpt = Options{Unit: 500 * time.Microsecond}
+
+// TestRunLiveShardMeasurement pins the live measurement contract of a
+// fan-out: warmup is excluded from the end-to-end log and from every
+// per-shard log and rate, and each shard sees every measured query.
+func TestRunLiveShardMeasurement(t *testing.T) {
+	const n, warmup = measureN, measureWarmup
+	w := testWorkload(t, n)
+	opt := measureOpt
+
+	sharded, err := Build(KV(w), Spec{Shard: &ShardSpec{N: 2, Child: fleet(2)}}, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sharded.RunLive(RunSpec{
+		N: n, Warmup: warmup, Lambda: 0.25, Seed: 7,
+		Policies: map[string]reissue.Policy{"shard": reissue.SingleR{D: 0, Q: 0.5}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Query) != n-warmup {
+		t.Fatalf("got %d query samples, want %d", len(res.Query), n-warmup)
+	}
+	for _, p := range []string{"shard0", "shard1"} {
+		if len(res.LeafResp[p]) != n-warmup {
+			t.Errorf("%s: %d primary samples, want %d", p, len(res.LeafResp[p]), n-warmup)
+		}
+		if r := res.LeafRates[p]; math.Abs(r-0.5) > 0.09 {
+			t.Errorf("%s reissue rate %.3f far from Q=0.5", p, r)
+		}
+	}
+	if tl := res.TailLatency(0.5); math.IsNaN(tl) || tl <= 0 {
+		t.Errorf("end-to-end median %v", tl)
+	}
+}
+
+// TestRunLiveTierMeasurement pins the live measurement contract of a
+// cache tier: warmup is excluded from the tier rate and from both
+// fleets' logs, and the store behind an Inf-delay tier sees exactly
+// the post-warmup misses of the tier's shared hit stream.
+func TestRunLiveTierMeasurement(t *testing.T) {
+	const n, warmup = measureN, measureWarmup
+	w := testWorkload(t, n)
+	opt := measureOpt
+
+	tiered, err := Build(KV(w), Spec{Tier: &TierSpec{
+		HitRate: 0.6, TierDelay: math.Inf(1),
+		Cache: FleetSpec{Replicas: 2}, Store: fleet(2),
+	}}, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := tiered.RunLive(RunSpec{N: n, Warmup: warmup, Lambda: 0.1, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hits, _ := tiered.Hits("")
+	misses := 0
+	for _, hit := range hits[warmup:n] {
+		if !hit {
+			misses++
+		}
+	}
+	if want := float64(misses) / float64(n-warmup); res.TierRates[""] != want {
+		t.Errorf("tier rate %v, want the post-warmup miss fraction %v exactly", res.TierRates[""], want)
+	}
+	if len(res.LeafResp["cache"]) != n-warmup {
+		t.Errorf("cache log has %d entries, want %d", len(res.LeafResp["cache"]), n-warmup)
+	}
+	if len(res.LeafResp["store"]) != misses {
+		t.Errorf("store log has %d entries, want the %d post-warmup misses", len(res.LeafResp["store"]), misses)
+	}
+	if res.LeafRates["cache"] != 0 || res.LeafRates["store"] != 0 {
+		t.Errorf("None policies reissued: %v", res.LeafRates)
 	}
 }

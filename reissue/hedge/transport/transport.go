@@ -54,9 +54,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/url"
+	"sort"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -477,6 +479,37 @@ func (c *Client) Unit() time.Duration { return c.unit }
 
 // Replicas returns the fleet size.
 func (c *Client) Replicas() int { return len(c.urls) }
+
+// WireOverheadMS calibrates the per-request cost of the wire in model
+// milliseconds: it sends probes sequential primary copies to the idle
+// fleet and returns the median (upper median for an even count)
+// residual between each measured round trip and the hold its replica
+// delivers — the model time times[i] scaled by the routed replica's
+// speed (nil speeds: homogeneous) and passed through the machine's
+// sleep response. Adding it to a simulator trace gives the simulator
+// the service times a remote copy actually sees. Negative residuals
+// are kept: dropping them would turn the median into an upper quantile
+// of the hold-prediction noise.
+func (c *Client) WireOverheadMS(ctx context.Context, times, speeds []float64, probes int) (float64, error) {
+	sr := backend.MeasureSleepResponse()
+	unit := float64(c.unit)
+	overs := make([]float64, 0, probes)
+	for i := 0; i < probes; i++ {
+		t0 := time.Now()
+		if _, err := c.Request(i)(ctx, 0); err != nil {
+			return 0, fmt.Errorf("transport: calibrating wire overhead: %w", err)
+		}
+		rt := float64(time.Since(t0)) / unit
+		speed := 1.0
+		if len(speeds) > 0 {
+			speed = speeds[backend.PrimaryReplica(i, len(speeds))]
+		}
+		hold := float64(sr.Apply(time.Duration(times[i%len(times)]*speed*unit))) / unit
+		overs = append(overs, rt-hold)
+	}
+	sort.Float64s(overs)
+	return math.Max(0, overs[len(overs)/2]), nil
+}
 
 // Request returns the hedge.Fn for query i: attempt n is sent to
 // replica (backend.PrimaryReplica(i, R)+n) mod R over HTTP, with the

@@ -147,18 +147,35 @@ func TestCancelPropagatesToWire(t *testing.T) {
 	w := kvWorkload(t, 40)
 	w.Times[0] = 300 // long occupant, model ms
 	w.Times[1] = 1
-	servers, client := kvFleet(t, w, []float64{1}, unit)
+	back, err := backend.NewKV(w, backend.Config{Replicas: 1, Unit: unit})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The replica's handler, wrapped to report each request's arrival:
+	// under load a fixed sleep can cancel the queued request before it
+	// has even reached the replica, and then there is nothing to
+	// reclaim there.
+	h := NewServer(back)
+	arrived := make(chan string, 2)
+	srv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		arrived <- r.URL.Query().Get("i")
+		h.ServeHTTP(rw, r)
+	}))
+	t.Cleanup(srv.Close)
+	client, err := NewClient(ClientConfig{Replicas: []string{srv.URL}, Unit: unit})
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	occupied := make(chan struct{})
-	go func() {
-		close(occupied)
-		client.Request(0)(context.Background(), 0)
-	}()
-	<-occupied
+	go client.Request(0)(context.Background(), 0)
+	if i := <-arrived; i != "0" {
+		t.Fatalf("request %s arrived first, want the occupant 0", i)
+	}
 	time.Sleep(time.Duration(5 * float64(unit))) // let it enter service
 
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
+		<-arrived // the queued request is on the replica
 		time.Sleep(time.Duration(5 * float64(unit)))
 		cancel()
 	}()
@@ -169,7 +186,7 @@ func TestCancelPropagatesToWire(t *testing.T) {
 	// The server notices the peer is gone asynchronously; poll.
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
-		if servers[0].Handler.Cancelled() >= 1 {
+		if h.Cancelled() >= 1 {
 			return
 		}
 		time.Sleep(5 * time.Millisecond)
