@@ -142,8 +142,8 @@ func TestSetAlgebraProperty(t *testing.T) {
 		r := stats.NewRNG(seed)
 		s := NewStore()
 		ca, cb := int(caRaw%60)+1, int(cbRaw%60)+1
-		s.setSorted("a", randomSubset(r, 150, ca))
-		s.setSorted("b", randomSubset(r, 150, cb))
+		s.setSorted("a", randomSubset(r, 150, ca, nil))
+		s.setSorted("b", randomSubset(r, 150, cb, nil))
 		union, _ := s.SUnion("a", "b")
 		inter, _ := s.SInter("a", "b")
 		diff, _ := s.SDiff("a", "b")
@@ -162,7 +162,7 @@ func TestSIsMemberProperty(t *testing.T) {
 	f := func(seed uint64, probe uint8) bool {
 		r := stats.NewRNG(seed)
 		s := NewStore()
-		s.setSorted("a", randomSubset(r, 100, int(probe%50)+1))
+		s.setSorted("a", randomSubset(r, 100, int(probe%50)+1, nil))
 		m := int32(probe % 100)
 		got, _ := s.SIsMember("a", m)
 		want := false

@@ -15,6 +15,9 @@ package kvstore
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
+	"slices"
 	"sort"
 
 	"repro/internal/stats"
@@ -73,7 +76,11 @@ func (s *Store) Keys() []string {
 // Work measures the computation an operation performed; the cost
 // model turns it into a service time.
 type Work struct {
-	// Scanned is the number of set elements traversed.
+	// Scanned is the number of set elements traversed. For an
+	// intersection it is the cost of the modeled linear two-pointer
+	// merge — the members the merge advances past plus one per result
+	// member — whatever kernel actually counts the result: SInterCard
+	// computes it in closed form without running the merge.
 	Scanned int
 }
 
@@ -101,25 +108,25 @@ func (s *Store) SInter(a, b string) (Set, Work) {
 	return out, Work{Scanned: i + j + len(out)}
 }
 
-// SInterCard returns only the intersection cardinality, scanning the
-// same elements as SInter but allocating nothing.
+// SInterCard returns the intersection cardinality of the sets at keys
+// a and b and the work SInter's merge does on them, without running
+// the merge or allocating a result.
+//
+// The merge stops when the set holding m = min(max(a), max(b)) runs
+// out. By then it has advanced past every member ≤ m of both sets and
+// written each common member, so Work.Scanned is, in closed form,
+// countLE(a, m) + countLE(b, m) + |a ∩ b|. The cardinality comes from
+// whichever kernel suits the inputs (see interCard), which is why the
+// workload generator calls this rather than SInter.
 func (s *Store) SInterCard(a, b string) (int, Work) {
 	sa, sb := s.sets[a], s.sets[b]
-	n := 0
-	i, j := 0, 0
-	for i < len(sa) && j < len(sb) {
-		switch {
-		case sa[i] < sb[j]:
-			i++
-		case sa[i] > sb[j]:
-			j++
-		default:
-			n++
-			i++
-			j++
-		}
+	if len(sa) == 0 || len(sb) == 0 {
+		return 0, Work{}
 	}
-	return n, Work{Scanned: i + j + n}
+	m := min(sa[len(sa)-1], sb[len(sb)-1])
+	sa, sb = sa[:countLE(sa, m)], sb[:countLE(sb, m)]
+	n := interCard(sa, sb)
+	return n, Work{Scanned: len(sa) + len(sb) + n}
 }
 
 // CostModel converts work into simulated service time. The defaults
@@ -222,26 +229,45 @@ func GenerateWorkload(cfg WorkloadConfig) (*Workload, error) {
 	if cfg.NumQueries <= 0 {
 		return nil, fmt.Errorf("kvstore: NumQueries=%d must be positive", cfg.NumQueries)
 	}
+	if cfg.ValueRange < 1 {
+		return nil, fmt.Errorf("kvstore: ValueRange=%d must be positive", cfg.ValueRange)
+	}
+	if math.IsNaN(cfg.CardMu) || math.IsInf(cfg.CardMu, 0) {
+		return nil, fmt.Errorf("kvstore: CardMu=%v must be finite", cfg.CardMu)
+	}
+	if !(cfg.CardSigma >= 0) || math.IsInf(cfg.CardSigma, 1) {
+		return nil, fmt.Errorf("kvstore: CardSigma=%v must be finite and non-negative", cfg.CardSigma)
+	}
 	root := stats.NewRNG(cfg.Seed)
 	cardRNG := root.Split(1)
 	memberRNG := root.Split(2)
 	queryRNG := root.Split(3)
 	cardDist := stats.NewLogNormal(cfg.CardMu, cfg.CardSigma)
 
+	// Cardinalities come from their own stream, so drawing them all
+	// before any member leaves every set unchanged and gives the total
+	// the sampler's scratch is weighed against.
+	cards := make([]int, cfg.NumSets)
+	total := 0
+	for i := range cards {
+		cards[i] = min(max(int(cardDist.Sample(cardRNG)), 1), int(cfg.ValueRange))
+		total += cards[i]
+	}
+	// One bitset over the universe serves every set's membership test.
+	// It is kept only when no larger than the sets it builds (8 bytes
+	// a word against 4 a member); a sparse huge universe samples
+	// through a map instead.
+	var scratch []uint64
+	if words := (int(cfg.ValueRange) + 63) / 64; 2*words <= total {
+		scratch = make([]uint64, words)
+	}
+
 	store := NewStore()
 	keys := make([]string, cfg.NumSets)
 	for i := range keys {
 		key := fmt.Sprintf("set:%04d", i)
 		keys[i] = key
-		card := int(cardDist.Sample(cardRNG))
-		if card < 1 {
-			card = 1
-		}
-		max := int(cfg.ValueRange)
-		if card > max {
-			card = max
-		}
-		store.setSorted(key, randomSubset(memberRNG, cfg.ValueRange, card))
+		store.setSorted(key, randomSubset(memberRNG, cfg.ValueRange, cards[i], scratch))
 	}
 
 	w := &Workload{
@@ -264,23 +290,60 @@ func GenerateWorkload(cfg WorkloadConfig) (*Workload, error) {
 	return w, nil
 }
 
-// randomSubset draws a sorted set of `card` distinct values from
-// [0, valueRange) using Floyd's sampling algorithm.
-func randomSubset(r *stats.RNG, valueRange int32, card int) Set {
+// randomSubset draws a sorted set of card distinct values from
+// [0, valueRange) with Floyd's algorithm: for j from valueRange-card
+// to valueRange-1 it draws v = Intn(j+1) and takes v, or j when v is
+// already taken. That draw sequence is part of the workload's
+// identity, pinned bit for bit by TestGenerateWorkloadDigest; only
+// the membership test and the sorting are free to change. Neither
+// touches a service time: those come from Work.Scanned, the modeled
+// merge's cost, which SInterCard computes in closed form whatever
+// kernel counts the intersection.
+//
+// scratch, when non-nil, is a zeroed bitset over [0, valueRange) that
+// serves as the membership test and is zeroed again on return; the set
+// is then read off it in order, or, when card·log2(card) is below the
+// bitset's word count, sorted directly. With scratch nil, for a
+// universe too sparse to be worth a bitset, a map serves.
+func randomSubset(r *stats.RNG, valueRange int32, card int, scratch []uint64) Set {
 	n := int(valueRange)
-	chosen := make(map[int32]struct{}, card)
-	for j := n - card; j < n; j++ {
-		v := int32(r.Intn(j + 1))
-		if _, taken := chosen[v]; taken {
-			v = int32(j)
-		}
-		chosen[v] = struct{}{}
-	}
 	out := make(Set, 0, card)
-	for v := range chosen {
-		out = append(out, v)
+	if scratch == nil {
+		chosen := make(map[int32]struct{}, card)
+		for j := n - card; j < n; j++ {
+			v := int32(r.Intn(j + 1))
+			if _, taken := chosen[v]; taken {
+				v = int32(j)
+			}
+			chosen[v] = struct{}{}
+			out = append(out, v)
+		}
+		slices.Sort(out)
+		return out
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	for j := n - card; j < n; j++ {
+		v := r.Intn(j + 1)
+		if scratch[v>>6]&(1<<(v&63)) != 0 {
+			v = j
+		}
+		scratch[v>>6] |= 1 << (v & 63)
+		out = append(out, int32(v))
+	}
+	if card*bits.Len(uint(card)) < len(scratch) {
+		slices.Sort(out)
+		for _, v := range out {
+			scratch[v>>6] = 0
+		}
+		return out
+	}
+	out = out[:0]
+	for i, word := range scratch {
+		for word != 0 {
+			out = append(out, int32(i<<6+bits.TrailingZeros64(word)))
+			word &= word - 1
+		}
+		scratch[i] = 0
+	}
 	return out
 }
 

@@ -2,6 +2,7 @@ package kvstore
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -99,39 +100,60 @@ func TestCostModel(t *testing.T) {
 }
 
 func TestRandomSubset(t *testing.T) {
-	r := stats.NewRNG(1)
-	for _, card := range []int{1, 10, 1000} {
-		set := randomSubset(r, 10000, card)
+	const universe = 10000
+	scratch := make([]uint64, (universe+63)/64)
+	// Cardinality 1 and 10 sort the drawn values; 1000 and the full
+	// universe read them off the bitset. The map path must draw the
+	// same set from the same stream either way.
+	for seed, card := range []int{1, 10, 1000, universe} {
+		set := randomSubset(stats.NewRNG(uint64(seed)), universe, card, scratch)
 		if len(set) != card {
 			t.Fatalf("card %d: got %d members", card, len(set))
 		}
-		seen := map[int32]bool{}
 		for i, v := range set {
-			if v < 0 || v >= 10000 {
+			if v < 0 || v >= universe {
 				t.Fatalf("member %d out of range", v)
 			}
-			if seen[v] {
-				t.Fatalf("duplicate member %d", v)
-			}
-			seen[v] = true
 			if i > 0 && set[i-1] >= v {
-				t.Fatal("subset not sorted")
+				t.Fatal("subset not sorted or has duplicates")
 			}
+		}
+		if !slices.Equal(set, randomSubset(stats.NewRNG(uint64(seed)), universe, card, nil)) {
+			t.Fatalf("card %d: bitset and map sampling differ", card)
+		}
+		if slices.ContainsFunc(scratch, func(w uint64) bool { return w != 0 }) {
+			t.Fatalf("card %d: scratch bitset left dirty", card)
 		}
 	}
 	// Full-range subset is the whole universe.
-	full := randomSubset(r, 100, 100)
+	full := randomSubset(stats.NewRNG(1), 100, 100, nil)
 	if len(full) != 100 || full[0] != 0 || full[99] != 99 {
 		t.Fatalf("full subset wrong: len=%d", len(full))
 	}
 }
 
 func TestGenerateWorkloadValidation(t *testing.T) {
-	if _, err := GenerateWorkload(WorkloadConfig{NumSets: 1, NumQueries: 10}); err == nil {
-		t.Error("NumSets=1 accepted")
-	}
-	if _, err := GenerateWorkload(WorkloadConfig{NumSets: 10, NumQueries: -1}); err == nil {
-		t.Error("negative NumQueries accepted")
+	for _, c := range []struct {
+		name string
+		cfg  WorkloadConfig
+	}{
+		{"one set", WorkloadConfig{NumSets: 1, NumQueries: 10}},
+		{"negative queries", WorkloadConfig{NumSets: 10, NumQueries: -1}},
+		// The rest used to panic inside make or stats.NewLogNormal,
+		// or silently draw every cardinality as 1.
+		{"negative value range", WorkloadConfig{NumSets: 10, NumQueries: 10, ValueRange: -5}},
+		{"min value range", WorkloadConfig{NumSets: 10, NumQueries: 10, ValueRange: math.MinInt32}},
+		{"negative sigma", WorkloadConfig{NumSets: 10, NumQueries: 10, CardSigma: -1}},
+		{"-Inf sigma", WorkloadConfig{NumSets: 10, NumQueries: 10, CardSigma: math.Inf(-1)}},
+		{"+Inf sigma", WorkloadConfig{NumSets: 10, NumQueries: 10, CardSigma: math.Inf(1)}},
+		{"NaN sigma", WorkloadConfig{NumSets: 10, NumQueries: 10, CardSigma: math.NaN()}},
+		{"NaN mu", WorkloadConfig{NumSets: 10, NumQueries: 10, CardMu: math.NaN()}},
+		{"+Inf mu", WorkloadConfig{NumSets: 10, NumQueries: 10, CardMu: math.Inf(1)}},
+		{"-Inf mu", WorkloadConfig{NumSets: 10, NumQueries: 10, CardMu: math.Inf(-1)}},
+	} {
+		if _, err := GenerateWorkload(c.cfg); err == nil {
+			t.Errorf("%s: %+v accepted", c.name, c.cfg)
+		}
 	}
 }
 
@@ -223,8 +245,8 @@ func TestSInterProperty(t *testing.T) {
 		r := stats.NewRNG(seed)
 		ca, cb := int(caRaw%50)+1, int(cbRaw%50)+1
 		s := NewStore()
-		s.setSorted("a", randomSubset(r, 200, ca))
-		s.setSorted("b", randomSubset(r, 200, cb))
+		s.setSorted("a", randomSubset(r, 200, ca, nil))
+		s.setSorted("b", randomSubset(r, 200, cb, nil))
 		ab, _ := s.SInter("a", "b")
 		ba, _ := s.SInter("b", "a")
 		if len(ab) != len(ba) {
@@ -247,8 +269,8 @@ func TestSInterBruteForceProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := stats.NewRNG(seed)
 		s := NewStore()
-		sa := randomSubset(r, 100, r.Intn(40)+1)
-		sb := randomSubset(r, 100, r.Intn(40)+1)
+		sa := randomSubset(r, 100, r.Intn(40)+1, nil)
+		sb := randomSubset(r, 100, r.Intn(40)+1, nil)
 		s.setSorted("a", sa)
 		s.setSorted("b", sb)
 		got, _ := s.SInter("a", "b")
@@ -274,16 +296,5 @@ func TestSInterBruteForceProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func BenchmarkSInter(b *testing.B) {
-	r := stats.NewRNG(1)
-	s := NewStore()
-	s.setSorted("a", randomSubset(r, 1_000_000, 50000))
-	s.setSorted("b", randomSubset(r, 1_000_000, 50000))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.SInterCard("a", "b")
 	}
 }
