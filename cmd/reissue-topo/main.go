@@ -1,9 +1,10 @@
 // Command reissue-topo runs reissue policies on composed service
-// graphs. A named preset — a sharded fan-out, a cache→store tier, a
-// cache tier over a sharded store, or a fan-out of per-shard cache
-// tiers — is built ONCE per sweep point in both worlds from one
-// declarative topo.Spec: the live wall-clock system wired from Source
-// combinators, and its virtual-time cluster twin composed identically.
+// graphs. A named preset — a single replicated fleet, a sharded
+// fan-out, a cache→store tier, a cache tier over a sharded store, or a
+// fan-out of per-shard cache tiers — is built ONCE per sweep point in
+// both worlds from one declarative topo.Spec: the live wall-clock
+// system wired from Source combinators, and its virtual-time cluster
+// twin composed identically.
 //
 // Every shape runs the same procedure: a no-reissue baseline, a fixed
 // rate anchor, and a policy per store slot tuned from the baseline's
@@ -11,12 +12,19 @@
 // trials over the same effective traces and hit streams, at the same
 // arrival rate and seed, and checks the per-slot reissue rates and
 // tier rates against the live ones. Presets with a fan-out sweep
-// -shards; presets with a tier sweep -hit-rates × -tier-delays.
+// -shards; presets with a tier sweep -hit-rates × -tier-delays; the
+// fleet preset has one point.
 //
 // Examples:
 //
 //	# default sweep: cache tier over a 2-shard store
 //	reissue-topo
+//
+//	# one in-process fleet of 4 replicas, one of them 2.5x slow
+//	reissue-topo -topo fleet -store-replicas 4
+//
+//	# the same fleet as 4 HTTP replica servers on loopback
+//	reissue-topo -topo fleet -store-replicas 4 -http
 //
 //	# "The Tail at Scale" fan-out over 1, 2 and 4 shards
 //	reissue-topo -topo shard -shards 1,2,4
@@ -92,6 +100,12 @@ type preset struct {
 }
 
 var presets = map[string]preset{
+	"fleet": {
+		storeAnchor: reissue.SingleR{D: 5, Q: 0.25},
+		spec: func(_ gridPoint, _ topo.FleetSpec, store topo.Spec) topo.Spec {
+			return store
+		},
+	},
 	"shard": {
 		fanOut:      true,
 		storeAnchor: reissue.SingleR{D: 3, Q: 0.25},
@@ -146,6 +160,9 @@ func (g gridPoint) label(p preset) string {
 	if p.tiered {
 		parts = append(parts, fmt.Sprintf("hit %.2f, tier delay %s", g.hit, fmtDelay(g.delay)))
 	}
+	if len(parts) == 0 {
+		return "fleet"
+	}
 	return strings.Join(parts, ", ")
 }
 
@@ -158,16 +175,17 @@ type sweepPoint struct {
 	tierRate                         float64 // mean live baseline tier rate over the tier nodes
 	tierDiff                         float64 // max |live-sim| over tier nodes, baseline run
 	leafDiff                         float64 // max |live-sim| over fleet slots, anchored run
+	tunedRate                        float64 // mean live reissue rate over the tuned slots, tuned run
 	warn                             bool
 }
 
 func main() {
 	var o options
-	flag.StringVar(&o.shape, "topo", "tier-over-shards", `preset: "shard" (fan-out over -shards), "tier" (cache tier over one store fleet), "tier-over-shards" (cache tier shielding a sharded store) or "sharded-tiers" (fan-out of per-shard cache tiers)`)
+	flag.StringVar(&o.shape, "topo", "tier-over-shards", `preset: "fleet" (one store fleet), "shard" (fan-out over -shards), "tier" (cache tier over one store fleet), "tier-over-shards" (cache tier shielding a sharded store) or "sharded-tiers" (fan-out of per-shard cache tiers)`)
 	flag.StringVar(&o.workload, "workload", "kv", "workload: kv, or search (presets without a tier)")
 	flag.StringVar(&o.shards, "shards", "2", "comma-separated fan-out widths to sweep (presets with a fan-out)")
 	flag.IntVar(&o.cacheR, "cache-replicas", 2, "replicas per cache fleet")
-	flag.IntVar(&o.storeR, "store-replicas", 3, "replicas per store fleet (the shard fleets of -topo shard)")
+	flag.IntVar(&o.storeR, "store-replicas", 3, "replicas per store fleet (the fleet of -topo fleet, the shard fleets of -topo shard)")
 	flag.Float64Var(&o.slow, "slow", 2.5, "speed factor of each store fleet's last replica, and of the cache fleet's under -topo tier (<=1 for homogeneous)")
 	flag.BoolVar(&o.http, "http", false, "serve the store fleets behind the HTTP transport")
 	// The defaults keep every fleet inside the validated agreement
@@ -326,8 +344,12 @@ func run(o options, out io.Writer) ([]sweepPoint, error) {
 		sr := backend.MeasureSleepResponse()
 		minMS = 1.5 * float64(sr.Floor) / float64(unit)
 	}
-	fmt.Fprintf(out, "topology demo: %s preset, %s workload, cache %d replicas, store %d replicas (slow factor %.2g)%s, unit %.2g ms\n",
-		o.shape, o.workload, o.cacheR, o.storeR, o.slow,
+	cache := ""
+	if p.tiered {
+		cache = fmt.Sprintf("cache %d replicas, ", o.cacheR)
+	}
+	fmt.Fprintf(out, "topology demo: %s preset, %s workload, %sstore %d replicas (slow factor %.2g)%s, unit %.2g ms\n",
+		o.shape, o.workload, cache, o.storeR, o.slow,
 		map[bool]string{true: ", store over HTTP", false: ""}[o.http], o.unitMS)
 	fmt.Fprintf(out, "target P%.0f, store budget %.3f, nominal utilization %.2f at the first fleet, %d queries + %d warmup\n\n",
 		o.k*100, o.budget, o.util, o.queries-o.warmup, o.warmup)
@@ -400,7 +422,7 @@ func runPoint(o options, p preset, out io.Writer, w topo.Workload, g gridPoint, 
 	if err != nil {
 		return nil, err
 	}
-	fmt.Fprintf(out, "--- %s: %.3f queries/model-ms over fleets %v\n", g.label(p), lambda, fleets)
+	fmt.Fprintf(out, "--- %s: %.3f queries/model-ms over fleets %q\n", g.label(p), lambda, fleets)
 
 	base := topo.RunSpec{N: o.queries, Warmup: o.warmup, Lambda: lambda, Seed: o.seed ^ 0x2a}
 	anch := base
@@ -438,7 +460,7 @@ func runPoint(o options, p preset, out io.Writer, w topo.Workload, g gridPoint, 
 		gridPoint: g,
 		basePk:    liveBase.TailLatency(o.k), anchPk: liveAnch.TailLatency(o.k), tunedPk: liveTuned.TailLatency(o.k),
 		simBasePk: math.NaN(), simAnchPk: math.NaN(), simTunedPk: math.NaN(),
-		tierRate: math.NaN(), tierDiff: math.NaN(), leafDiff: math.NaN(),
+		tierRate: math.NaN(), tierDiff: math.NaN(), leafDiff: math.NaN(), tunedRate: math.NaN(),
 	}
 	fmt.Fprintf(out, "live: baseline P%.0f=%6.1f -> anchored P%.0f=%6.1f -> tuned P%.0f=%6.1f model-ms\n",
 		o.k*100, pt.basePk, o.k*100, pt.anchPk, o.k*100, pt.tunedPk)
@@ -457,6 +479,12 @@ func runPoint(o options, p preset, out io.Writer, w topo.Workload, g gridPoint, 
 		fmt.Fprintf(out, "live: leaf %-16q reissue rate anchored %.4f, tuned %.4f\n", path, liveAnch.LeafRates[path], liveTuned.LeafRates[path])
 	}
 	anchSlots, tunedSlots := slotRates(liveAnch.LeafRates), slotRates(liveTuned.LeafRates)
+	if len(tuned.Policies) > 0 {
+		pt.tunedRate = 0
+	}
+	for slot := range tuned.Policies {
+		pt.tunedRate += tunedSlots[slot] / float64(len(tuned.Policies))
+	}
 	for _, slot := range sortedKeys(anchSlots) {
 		what := "reissue rate"
 		if strings.Contains("/"+slot+"/", "/shard/") {

@@ -5,6 +5,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"repro/internal/metrics"
 )
 
 // fast returns options scaled down for a smoke run.
@@ -48,6 +50,17 @@ func shardPreset() options {
 func tierPreset() options {
 	o := fast()
 	o.shape = "tier"
+	o.queries = 300
+	o.warmup = 50
+	return o
+}
+
+// fleetPreset is fast() on the single-fleet preset at the scale of
+// its own smoke run.
+func fleetPreset() options {
+	o := fast()
+	o.shape = "fleet"
+	o.storeR = 3
 	o.queries = 300
 	o.warmup = 50
 	return o
@@ -121,6 +134,81 @@ func TestRunSearchWorkload(t *testing.T) {
 	_, out := runOK(t, o)
 	if strings.Contains(out, "sim:") {
 		t.Error("simulator pass printed with -sim=false")
+	}
+}
+
+// TestRunFleetPreset is the single-fleet procedure: one point, one
+// store slot at the root, in process and over the wire.
+func TestRunFleetPreset(t *testing.T) {
+	t.Run("kv", func(t *testing.T) {
+		pts, out := runOK(t, fleetPreset())
+		wantOutput(t, out, "fleet preset", "--- fleet:", `leaf ""`, "sweep summary", "sim:")
+		if len(pts) != 1 || pts[0].label(presets["fleet"]) != "fleet" {
+			t.Fatalf("sweep points = %+v", pts)
+		}
+		if pt := pts[0]; math.IsNaN(pt.leafDiff) || !math.IsNaN(pt.tierRate) || !(pt.tunedRate > 0) {
+			t.Errorf("fleet point = %+v, want a slot comparison, a tuned rate and no tier", pt)
+		}
+	})
+	t.Run("kv-http", func(t *testing.T) {
+		o := fleetPreset()
+		o.http = true
+		_, out := runOK(t, o)
+		wantOutput(t, out, "store over HTTP", "sim:")
+	})
+	t.Run("search", func(t *testing.T) {
+		o := fleetPreset()
+		o.workload = "search"
+		o.queries = 200
+		o.warmup = 40
+		o.sim = false
+		o.unitMS = 0.05
+		_, out := runOK(t, o)
+		if strings.Contains(out, "sim:") {
+			t.Error("simulator pass printed with -sim=false")
+		}
+	})
+}
+
+// TestRemoteSimAgreement is the HTTP fleet's acceptance check at a
+// statistically meaningful scale: across the transport, the fixed
+// rate-anchor policy must reissue at the simulator's rate within the
+// in-process agreement test's tolerance, and the policy tuned on the
+// baseline log must beat the unhedged tail at a rate near its budget.
+func TestRemoteSimAgreement(t *testing.T) {
+	if testing.Short() {
+		t.Skip("remote runs take tens of wall-clock seconds")
+	}
+	o := options{
+		shape:    "fleet",
+		workload: "kv",
+		storeR:   4,
+		slow:     2.5,
+		http:     true,
+		queries:  1800,
+		warmup:   250,
+		util:     0.28,
+		k:        0.99,
+		budget:   0.05,
+		unitMS:   2.0,
+		seed:     21,
+		sim:      true,
+		workers:  1,
+	}
+	pts, out := runOK(t, o)
+	t.Log(out)
+	if len(pts) != 1 {
+		t.Fatalf("sweep points = %+v", pts)
+	}
+	pt := pts[0]
+	if pt.leafDiff > metrics.AgreementBand {
+		t.Errorf("anchored reissue rates differ by %.4f across the transport (tolerance %.3f)", pt.leafDiff, metrics.AgreementBand)
+	}
+	if pt.tunedPk >= 0.97*pt.basePk {
+		t.Errorf("remote hedging did not improve P99: %.2f -> %.2f", pt.basePk, pt.tunedPk)
+	}
+	if pt.tunedRate <= 0 || pt.tunedRate > 2.5*o.budget {
+		t.Errorf("tuned remote reissue rate %.4f outside (0, %.3f]", pt.tunedRate, 2.5*o.budget)
 	}
 }
 
@@ -201,6 +289,14 @@ func TestRunShardPresetValidation(t *testing.T) {
 	wantRejected(t, shardPreset(), map[string]func(*options){
 		"unknown workload":  func(o *options) { o.workload = "bogus" },
 		"malformed shards":  func(o *options) { o.shards = "2,zero" },
+		"warmup >= queries": func(o *options) { o.warmup = o.queries },
+		"zero replicas":     func(o *options) { o.storeR = 0 },
+	})
+}
+
+func TestRunFleetPresetValidation(t *testing.T) {
+	wantRejected(t, fleetPreset(), map[string]func(*options){
+		"unknown workload":  func(o *options) { o.workload = "bogus" },
 		"warmup >= queries": func(o *options) { o.warmup = o.queries },
 		"zero replicas":     func(o *options) { o.storeR = 0 },
 	})

@@ -35,7 +35,8 @@
 // See DESIGN.md for the system inventory, the public-API layering,
 // and the simulator-for-testbed substitution argument; bench_test.go
 // and ablation_bench_test.go hold the per-figure benchmark harness.
-// cmd/reissue-live is the live end-to-end demo.
+// "cmd/reissue-topo -topo fleet" is the live end-to-end demo on one
+// replicated fleet (add -http to serve it over the transport).
 //
 // The cross-cutting contracts those layers rest on — replayable
 // simulation, Mix64-disciplined coin salts, context threading,

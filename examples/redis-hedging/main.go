@@ -13,10 +13,12 @@
 //
 //	go run ./examples/redis-hedging
 //
-// For the full experiment — simulator cross-validation, the search
-// workload, the self-tuning online client — see cmd/reissue-live;
-// for the same hedging over out-of-process HTTP replicas, see
-// examples/search-hedging and cmd/reissue-remote.
+// For the full experiment — a fixed-rate anchor, simulator
+// cross-validation, the search workload — see
+// "go run ./cmd/reissue-topo -topo fleet"; for the self-tuning online
+// client, see examples/online-tracking; for the same hedging over
+// out-of-process HTTP replicas, see examples/search-hedging and
+// "go run ./cmd/reissue-topo -topo fleet -http".
 package main
 
 import (

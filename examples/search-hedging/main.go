@@ -17,7 +17,7 @@
 //	go run ./examples/search-hedging
 //
 // For simulator cross-validation over the same transport, see
-// cmd/reissue-remote.
+// "go run ./cmd/reissue-topo -topo fleet -http -workload search".
 package main
 
 import (

@@ -776,12 +776,6 @@ func RunOpenLoop(ctx context.Context, src Source, client *hedge.Client, n int, l
 	}, client.Wait)
 }
 
-// RunOpenLoop replays the trace through client against this cluster;
-// see the package-level RunOpenLoop.
-func (c *Cluster) RunOpenLoop(ctx context.Context, client *hedge.Client, n int, lambda float64, seed uint64) ([]float64, error) {
-	return RunOpenLoop(ctx, c, client, n, lambda, seed)
-}
-
 // PrimaryReplica returns the replica the primary copy of query i is
 // routed to: a pseudo-random placement (the simulator's RandomLB),
 // derandomized per query id with the shared stats.Mix64 finalizer so

@@ -158,7 +158,7 @@ func TestHedgedOpenLoopRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	const n = 600
-	lats, err := c.RunOpenLoop(context.Background(), client, n, c.ArrivalRate(0.3), 17)
+	lats, err := RunOpenLoop(context.Background(), c, client, n, c.ArrivalRate(0.3), 17)
 	if err != nil {
 		t.Fatal(err)
 	}

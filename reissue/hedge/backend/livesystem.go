@@ -39,18 +39,13 @@ type LiveSystem struct {
 	// Lambda is the open-loop Poisson arrival rate in queries per
 	// model millisecond.
 	Lambda float64
-	// Seed drives arrivals and policy coin flips.
+	// Seed drives arrivals and policy coin flips. Every Run replays
+	// the identical Poisson arrival stream (common random numbers,
+	// exactly like the simulator), so two policies are compared on the
+	// same sample path — the variance reduction that makes
+	// baseline-vs-hedged comparisons and adaptive refinement converge
+	// at practical run lengths.
 	Seed uint64
-	// FreshPerRun gives every successive Run its own random streams.
-	// The default (false) applies common random numbers, exactly like
-	// the simulator: every run replays the identical Poisson arrival
-	// stream, so two policies are compared on the same sample path —
-	// the variance reduction that makes baseline-vs-hedged
-	// comparisons and adaptive refinement converge at practical run
-	// lengths.
-	FreshPerRun bool
-
-	runs uint64
 }
 
 // MeasuredSource wraps a Source to collect the simulator's
@@ -154,12 +149,6 @@ func (s *LiveSystem) RunContext(ctx context.Context, p reissue.Policy) (reissue.
 	if s.Warmup < 0 || s.Warmup >= s.N {
 		panic(fmt.Sprintf("backend: LiveSystem Warmup=%d outside [0, N=%d)", s.Warmup, s.N))
 	}
-	seed := s.Seed
-	if s.FreshPerRun {
-		s.runs++
-		//lint:allow saltdiscipline FreshPerRun reseed must match the simulator byte-for-byte (agreement tests pin it)
-		seed += s.runs * 0x9e3779b9
-	}
 	src := NewMeasuredSource(s.Back, s.Warmup)
 	client, err := hedge.New(hedge.Config{
 		Policy:      p,
@@ -170,14 +159,14 @@ func (s *LiveSystem) RunContext(ctx context.Context, p reissue.Policy) (reissue.
 		// i correlates with inter-arrival gap i (identical uniform
 		// sequences) and hedging systematically targets bursts. The
 		// simulator decorrelates its streams the same way.
-		Seed: seed ^ 0x94d049bb133111eb,
+		Seed: s.Seed ^ 0x94d049bb133111eb,
 	})
 	if err != nil {
 		// Config errors are programming mistakes here (the policy
 		// comes from the optimizer); surface them loudly.
 		panic(err)
 	}
-	lats, err := RunOpenLoop(ctx, src, client, s.N, s.Lambda, seed)
+	lats, err := RunOpenLoop(ctx, src, client, s.N, s.Lambda, s.Seed)
 	if err != nil {
 		return reissue.RunResult{}, err
 	}

@@ -20,8 +20,8 @@
 // backend.LiveSystem — and through them the paper's optimizer
 // machinery (ComputeOptimalSingleR, AdaptiveOptimize, the budget
 // searches) — drive out-of-process replicas unchanged. See
-// cmd/reissue-remote for the end-to-end demo with simulator
-// cross-validation.
+// "reissue-topo -topo fleet -http" for the end-to-end demo with
+// simulator cross-validation.
 //
 // Queue disciplines and batched execution cross the wire for free:
 // the handler executes each query through the backing cluster's own
@@ -336,7 +336,7 @@ func (rs *ReplicaServer) Kill() error { return rs.lis.Close() }
 //
 //	ctx, stop, fatal := transport.WatchFleet(ctx, servers...)
 //	defer stop()
-//	lats, err := backend.RunOpenLoop(ctx, src, n, lambda, seed, true)
+//	lats, err := backend.RunOpenLoop(ctx, src, client, n, lambda, seed)
 //	if fe := fatal(); fe != nil {
 //		err = fe
 //	}
