@@ -156,18 +156,22 @@ func TestRunFleetPreset(t *testing.T) {
 		_, out := runOK(t, o)
 		wantOutput(t, out, "store over HTTP", "sim:")
 	})
-	t.Run("search", func(t *testing.T) {
-		o := fleetPreset()
-		o.workload = "search"
-		o.queries = 200
-		o.warmup = 40
-		o.sim = false
-		o.unitMS = 0.05
-		_, out := runOK(t, o)
-		if strings.Contains(out, "sim:") {
-			t.Error("simulator pass printed with -sim=false")
-		}
-	})
+	for _, http := range []bool{false, true} {
+		name := map[bool]string{false: "search", true: "search-http"}[http]
+		t.Run(name, func(t *testing.T) {
+			o := fleetPreset()
+			o.workload = "search"
+			o.queries = 200
+			o.warmup = 40
+			o.sim = false
+			o.unitMS = 0.05
+			o.http = http
+			_, out := runOK(t, o)
+			if strings.Contains(out, "sim:") {
+				t.Error("simulator pass printed with -sim=false")
+			}
+		})
+	}
 }
 
 // TestRemoteSimAgreement is the HTTP fleet's acceptance check at a
@@ -295,11 +299,22 @@ func TestRunShardPresetValidation(t *testing.T) {
 }
 
 func TestRunFleetPresetValidation(t *testing.T) {
-	wantRejected(t, fleetPreset(), map[string]func(*options){
-		"unknown workload":  func(o *options) { o.workload = "bogus" },
-		"warmup >= queries": func(o *options) { o.warmup = o.queries },
-		"zero replicas":     func(o *options) { o.storeR = 0 },
-	})
+	wantRejected(t, fleetPreset(), fleetRejects)
+}
+
+// TestRunFleetPresetHTTPValidation holds the HTTP fleet to the same
+// rejections: no bad option may start a replica server.
+func TestRunFleetPresetHTTPValidation(t *testing.T) {
+	o := fleetPreset()
+	o.http = true
+	wantRejected(t, o, fleetRejects)
+}
+
+// fleetRejects are the option mistakes the fleet preset must refuse.
+var fleetRejects = map[string]func(*options){
+	"unknown workload":  func(o *options) { o.workload = "bogus" },
+	"warmup >= queries": func(o *options) { o.warmup = o.queries },
+	"zero replicas":     func(o *options) { o.storeR = 0 },
 }
 
 func TestRunTierPresetValidation(t *testing.T) {

@@ -21,8 +21,25 @@ const settle = 2 * time.Second
 // Baseline is a goroutine count taken before the checked work starts.
 type Baseline int
 
-// Start records the current goroutine count.
-func Start() Baseline { return Baseline(runtime.NumGoroutine()) }
+// quiet is how long the goroutine count must hold still before Start
+// takes it as the baseline.
+const quiet = 30 * time.Millisecond
+
+// Start records the goroutine count once it has held still for a
+// moment. Goroutines that earlier work left on their way out would
+// otherwise sit in the baseline, and once they exit, as many leaked
+// goroutines would pass the check unseen.
+func Start() Baseline {
+	deadline := time.Now().Add(settle)
+	n, still := runtime.NumGoroutine(), time.Now()
+	for time.Since(still) < quiet && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+		if m := runtime.NumGoroutine(); m != n {
+			n, still = m, time.Now()
+		}
+	}
+	return Baseline(n)
+}
 
 // Check fails t unless, within a short settling window, the goroutine
 // count drops back to at most b+Slack.

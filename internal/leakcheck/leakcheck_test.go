@@ -39,3 +39,25 @@ func TestCheckReportsLeak(t *testing.T) {
 		t.Fatalf("Check missed %d parked goroutines", Slack+1)
 	}
 }
+
+// TestStartWaitsOutExitingGoroutines starts the baseline while
+// goroutines are still on their way out: they must not be counted, or
+// their exit would hide the parked ones from Check.
+func TestStartWaitsOutExitingGoroutines(t *testing.T) {
+	done := make(chan struct{})
+	for i := 0; i < 10; i++ {
+		go func() { <-done }()
+	}
+	close(done)
+	b := Start()
+	stop := make(chan struct{})
+	defer close(stop)
+	for i := 0; i < Slack+1; i++ {
+		go func() { <-stop }()
+	}
+	r := &recorder{TB: t}
+	b.Check(r)
+	if r.failed == "" {
+		t.Fatalf("Check missed %d parked goroutines behind exiting ones", Slack+1)
+	}
+}
