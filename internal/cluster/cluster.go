@@ -397,6 +397,7 @@ func (c *Cluster) AdoptState(prev *Cluster) {
 	rs := prev.rs
 	prev.rs = nil
 	rs.cfg = &c.cfg
+	rs.drawn = false
 	n := c.cfg.Servers
 	if n != len(rs.servers) || (n > 0 && (rs.servers[0].discipline != c.cfg.Discipline || rs.servers[0].bcfg != c.cfg.Batch)) {
 		rs.servers = make([]*server, n)
@@ -427,13 +428,8 @@ func (c *Cluster) Run(p reissue.Policy) reissue.RunResult {
 // fires and never grows mid-run).
 type query struct {
 	id       int
-	arrival  float64
 	measured bool
-
-	// Pre-drawn workload randomness (drawn at schedule time, in query
-	// order, exactly as the closure-based controller did).
-	sPrim, sReis float64
-	conn         int
+	draw
 
 	done     bool
 	response float64
@@ -449,6 +445,17 @@ type query struct {
 
 	// outstanding tracks dispatched copies for CancelOnComplete.
 	outstanding []*request
+}
+
+// draw is one query's workload randomness: its arrival instant, the
+// service times of its primary and of any reissue, and its client
+// connection. It is drawn at schedule time, in query order, and kept
+// in the pooled query record, from which RunDetailed replays it when
+// the next run would draw the same values.
+type draw struct {
+	arrival      float64
+	sPrim, sReis float64
+	conn         int
 }
 
 // reqChunkShift sizes the request arena's chunks (512 records). The
@@ -502,6 +509,11 @@ type runState struct {
 	// It starts nil every run and is handed to the Result verbatim, so
 	// logs survive later runs without copying.
 	batches []BatchRecord
+
+	// drawn reports that queries hold the workload draw of the
+	// Cluster that owns this state, made by an earlier run that a
+	// later run replays (see RunDetailed). AdoptState clears it.
+	drawn bool
 
 	// chaos is non-nil only while a Faults-configured run is active;
 	// chaosPool is its pooled backing store.
@@ -815,39 +827,49 @@ func (c *Cluster) RunDetailed(p reissue.Policy) *Result {
 	// Schedule the open-loop arrival process. All workload randomness
 	// (arrival gaps, service times, connections) is drawn here in
 	// query order — the same stream order as the closure-based
-	// controller — and parked in the pooled query records.
+	// controller — and parked in the pooled query records. Under
+	// common random numbers every run draws the same values, so a
+	// run after the first replays them from the records instead; the
+	// replay rule is on Config.FreshPerRun.
+	replay := rs.drawn
 	at := 0.0
 	fan := cfg.FanOut
 	if fan < 1 {
 		fan = 1
 	}
 	for i := 0; i < total; i++ {
-		if cfg.ArrivalTimes != nil {
-			// Explicit schedule: replay the caller's instants verbatim
-			// (the live-agreement tests' shared trace).
-			at = cfg.ArrivalTimes[i]
-		} else if cfg.Servers > 0 && i > 0 && i%fan == 0 {
-			// Sub-requests within a fan-out batch share one arrival time.
-			rate := cfg.ArrivalRate
-			if cfg.RateMultiplier != nil {
-				m := cfg.RateMultiplier(at)
-				if m <= 0 || math.IsNaN(m) {
-					panic(fmt.Sprintf("cluster: RateMultiplier(%v) = %v must be positive", at, m))
-				}
-				rate *= m
-			}
-			at += arrivalRNG.ExpFloat64() / rate * float64(fan)
-		}
 		q := &rs.queries[i]
-		out := q.outstanding[:0]
-		*q = query{id: i, arrival: at, measured: i >= cfg.Warmup, outstanding: out}
-		q.sPrim, q.sReis = cfg.Source.Sample(serviceRNG)
-		q.conn = connRNG.Intn(cfg.Connections)
+		d := q.draw
+		if !replay {
+			if cfg.ArrivalTimes != nil {
+				// Explicit schedule: replay the caller's instants verbatim
+				// (the live-agreement tests' shared trace).
+				at = cfg.ArrivalTimes[i]
+			} else if cfg.Servers > 0 && i > 0 && i%fan == 0 {
+				// Sub-requests within a fan-out batch share one arrival time.
+				rate := cfg.ArrivalRate
+				if cfg.RateMultiplier != nil {
+					m := cfg.RateMultiplier(at)
+					if m <= 0 || math.IsNaN(m) {
+						panic(fmt.Sprintf("cluster: RateMultiplier(%v) = %v must be positive", at, m))
+					}
+					rate *= m
+				}
+				at += arrivalRNG.ExpFloat64() / rate * float64(fan)
+			}
+			d.arrival = at
+			d.sPrim, d.sReis = cfg.Source.Sample(serviceRNG)
+			d.conn = connRNG.Intn(cfg.Connections)
+		}
+		at = d.arrival
+		*q = query{id: i, measured: i >= cfg.Warmup, draw: d, outstanding: q.outstanding[:0]}
 		// Arrival times are non-decreasing, so the whole arrival
 		// process rides the event list's O(1) monotone lane and stays
 		// out of the heap.
 		rs.sim.AtMonotone(at, rs.arriveFn, i, 0)
 	}
+	_, stateless := cfg.Source.(DistSource)
+	rs.drawn = stateless && !cfg.FreshPerRun
 
 	rs.scheduleInterference(at*1.25, root)
 	rs.sim.Run()

@@ -345,7 +345,7 @@ func ExtensionBurstinessJob(sc Scale) *Job {
 				if err != nil {
 					return err
 				}
-				rows[ri] = []float64{rho, pBase, bBase, ar.Final.TailLatency(0.99)}
+				rows[ri] = []float64{rho, pBase, bBase, ar.FinalTail()}
 				return nil
 			},
 		})

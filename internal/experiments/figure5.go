@@ -42,7 +42,7 @@ func Figure5aJob(sc Scale) *Job {
 				if err != nil {
 					return fmt.Errorf("corr %v: %w", r, err)
 				}
-				outs[ri].p95 = ar.Final.TailLatency(k)
+				outs[ri].p95 = ar.FinalTail()
 				return nil
 			},
 		})
@@ -116,7 +116,7 @@ func figure5Grid(name, id, title string, columns []string, sc Scale,
 					if err != nil {
 						return fmt.Errorf("%s budget %v: %w", variantLabel(vi), B, err)
 					}
-					rows[B][vi] = ar.Final.TailLatency(k)
+					rows[B][vi] = ar.FinalTail()
 					return nil
 				},
 			})

@@ -45,9 +45,11 @@ func Figure6Job(dist stats.Dist, label string, sc Scale) *Job {
 				if err != nil {
 					return err
 				}
-				base := wl.RunDetailed(reissue.None{})
-				base95[ui] = metrics.TailLatency(base.Log.ResponseTimes(), 95)
-				base99[ui] = metrics.TailLatency(base.Log.ResponseTimes(), 99)
+				// One log, sorted once, serves both percentiles.
+				rts := wl.RunDetailed(reissue.None{}).Log.ResponseTimes()
+				stats.SortFloat64s(rts)
+				base95[ui] = metrics.SortedTailLatency(rts, 95)
+				base99[ui] = metrics.SortedTailLatency(rts, 99)
 				return nil
 			},
 		})
@@ -71,8 +73,8 @@ func Figure6Job(dist stats.Dist, label string, sc Scale) *Job {
 					if err != nil {
 						return fmt.Errorf("util %v budget %v (P99): %w", util, B, err)
 					}
-					tail95[B][ui] = ar95.Final.TailLatency(0.95)
-					tail99[B][ui] = ar99.Final.TailLatency(0.99)
+					tail95[B][ui] = ar95.FinalTail()
+					tail99[B][ui] = ar99.FinalTail()
 					return nil
 				},
 			})

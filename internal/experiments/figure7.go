@@ -51,8 +51,8 @@ func Figure7aJob(kind SystemKind, sc Scale) *Job {
 					return fmt.Errorf("SingleD budget %v: %w", B, err)
 				}
 				outs[bi] = out{
-					rateR: ar.Trials[len(ar.Trials)-1].ReissueRate, p99R: ar.Final.TailLatency(k),
-					rateD: ad.Trials[len(ad.Trials)-1].ReissueRate, p99D: ad.Final.TailLatency(k),
+					rateR: ar.Trials[len(ar.Trials)-1].ReissueRate, p99R: ar.FinalTail(),
+					rateD: ad.Trials[len(ad.Trials)-1].ReissueRate, p99D: ad.FinalTail(),
 				}
 				return nil
 			},
@@ -139,7 +139,7 @@ func Figure7bJob(kind SystemKind, sc Scale) *Job {
 					if err != nil {
 						return fmt.Errorf("util %v budget %v: %w", util, B, err)
 					}
-					rows[B][ui] = ar.Final.TailLatency(k)
+					rows[B][ui] = ar.FinalTail()
 					return nil
 				},
 			})

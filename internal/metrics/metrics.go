@@ -7,26 +7,34 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
+
+	"repro/internal/stats"
 )
 
 // TailLatency returns the nearest-rank kth-percentile (k in (0, 100])
 // of the samples. It returns NaN on empty input.
 func TailLatency(samples []float64, k float64) float64 {
-	if len(samples) == 0 {
+	s := make([]float64, len(samples))
+	copy(s, samples)
+	stats.SortFloat64s(s)
+	return SortedTailLatency(s, k)
+}
+
+// SortedTailLatency is TailLatency on samples already sorted
+// ascending, with the same nearest-rank semantics and no copy: a
+// caller that reads several percentiles of one log sorts it once.
+func SortedTailLatency(sorted []float64, k float64) float64 {
+	if len(sorted) == 0 {
 		return math.NaN()
 	}
 	if k <= 0 || k > 100 {
 		panic(fmt.Sprintf("metrics: percentile %v outside (0, 100]", k))
 	}
-	s := make([]float64, len(samples))
-	copy(s, samples)
-	sort.Float64s(s)
-	idx := int(math.Ceil(float64(len(s))*k/100)) - 1
+	idx := int(math.Ceil(float64(len(sorted))*k/100)) - 1
 	if idx < 0 {
 		idx = 0
 	}
-	return s[idx]
+	return sorted[idx]
 }
 
 // ReductionRatio returns baseline/achieved — the paper's "latency
@@ -103,7 +111,7 @@ const AgreementBand = 0.025
 func InverseCDFSeries(samples []float64, ps []float64) []float64 {
 	s := make([]float64, len(samples))
 	copy(s, samples)
-	sort.Float64s(s)
+	stats.SortFloat64s(s)
 	out := make([]float64, len(ps))
 	for i, p := range ps {
 		if len(s) == 0 {

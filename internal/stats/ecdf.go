@@ -21,7 +21,7 @@ type ECDF struct {
 func NewECDF(samples []float64) *ECDF {
 	s := make([]float64, len(samples))
 	copy(s, samples)
-	sort.Float64s(s)
+	SortFloat64s(s)
 	return &ECDF{sorted: s}
 }
 
@@ -43,7 +43,7 @@ func FromSorted(sorted []float64) *ECDF {
 // sorting it in place — the zero-copy counterpart of NewECDF for
 // callers that do not need their slice back.
 func NewECDFInPlace(samples []float64) *ECDF {
-	sort.Float64s(samples)
+	SortFloat64s(samples)
 	return &ECDF{sorted: samples}
 }
 
@@ -142,14 +142,14 @@ func Quantile(samples []float64, p float64) float64 {
 // sorting samples in place instead of copying. The caller gives up
 // its ordering; nothing else is allocated.
 func PercentileInPlace(samples []float64, k float64) float64 {
-	sort.Float64s(samples)
+	SortFloat64s(samples)
 	return SortedPercentile(samples, k)
 }
 
 // QuantileInPlace computes the nearest-rank p-th quantile, sorting
 // samples in place instead of copying.
 func QuantileInPlace(samples []float64, p float64) float64 {
-	sort.Float64s(samples)
+	SortFloat64s(samples)
 	return SortedQuantile(samples, p)
 }
 

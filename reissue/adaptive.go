@@ -3,9 +3,9 @@ package reissue
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/rangequery"
+	"repro/internal/stats"
 )
 
 // RunResult is the measured outcome of executing a workload under a
@@ -94,6 +94,17 @@ type AdaptiveResult struct {
 	Final  RunResult       // measurements from the last trial
 }
 
+// FinalTail returns the measured tail latency of the last trial at
+// the loop's own percentile: Final.TailLatency(K) for the K the loop
+// ran with, bit for bit, read from the trial record instead of
+// sorting Final.Query again. It returns NaN when no trial ran.
+func (r AdaptiveResult) FinalTail() float64 {
+	if len(r.Trials) == 0 {
+		return math.NaN()
+	}
+	return r.Trials[len(r.Trials)-1].Actual
+}
+
 // AdaptiveOptimize iteratively refines a SingleR policy on a system
 // whose response-time distributions shift under reissue load
 // (Section 4.3). It starts from the immediate-reissue policy
@@ -137,7 +148,7 @@ func AdaptiveOptimize(sys System, cfg AdaptiveConfig) (AdaptiveResult, error) {
 		var pred Prediction
 		var err error
 		if cfg.Correlated && len(run.Pairs) >= 100 {
-			local, pred, err = ComputeOptimalSingleRCorrelated(run.Primary, run.Pairs, cfg.K, cfg.B)
+			local, pred, err = ComputeOptimalSingleRCorrelatedSorted(sx, run.Pairs, cfg.K, cfg.B)
 		} else {
 			sy = sortInto(sy, run.Reissue)
 			local, pred, err = ComputeOptimalSingleRSorted(sx, sy, cfg.K, cfg.B)
@@ -173,7 +184,7 @@ func AdaptiveOptimize(sys System, cfg AdaptiveConfig) (AdaptiveResult, error) {
 // capacity.
 func sortInto(buf, xs []float64) []float64 {
 	buf = append(buf[:0], xs...)
-	sort.Float64s(buf)
+	stats.SortFloat64s(buf)
 	return buf
 }
 

@@ -38,21 +38,30 @@ func AdaptiveOptimizeSingleD(sys System, cfg AdaptiveConfig) (AdaptiveResult, er
 	}
 	d := seed.D
 	res := AdaptiveResult{}
+	// As in AdaptiveOptimize, each trial sorts each of its logs once
+	// into these reused buffers; the delay, the prediction and the
+	// measured tail all read the sorted views. OptimalSingleD above
+	// has already validated B.
+	var sx, sy, sq []float64
 	for trial := 0; trial < cfg.Trials; trial++ {
 		pol := SingleD{D: d}
 		run := sys.Run(pol)
 		if len(run.Primary) == 0 || len(run.Query) == 0 {
 			return res, fmt.Errorf("reissue: system returned empty measurements on trial %d", trial)
 		}
-		local, err := OptimalSingleD(run.Primary, cfg.B)
-		if err != nil {
-			return res, fmt.Errorf("reissue: trial %d: %w", trial, err)
+		sx = sortInto(sx, run.Primary)
+		sq = sortInto(sq, run.Query)
+		ry := sx
+		if len(run.Reissue) > 0 {
+			sy = sortInto(sy, run.Reissue)
+			ry = sy
 		}
+		local := singleDOnLog(sx, cfg.B)
 		res.Trials = append(res.Trials, AdaptiveTrial{
 			Trial:       trial,
 			Policy:      SingleR{D: d, Q: 1},
-			Predicted:   PredictSingleR(run.Primary, run.Reissue, SingleR{D: local.D, Q: 1}, cfg.K).TailLatency,
-			Actual:      run.TailLatency(cfg.K),
+			Predicted:   predictOnLog(sx, ry, SingleR{D: local.D, Q: 1}, cfg.K).TailLatency,
+			Actual:      sortedTail(sq, cfg.K),
 			ReissueRate: run.ReissueRate,
 		})
 		res.Final = run

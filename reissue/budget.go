@@ -125,7 +125,7 @@ func probeBudget(sys System, budget float64, cfg BudgetSearchConfig) (float64, S
 	if err != nil {
 		return 0, SingleR{}, err
 	}
-	return ar.Final.TailLatency(cfg.K), ar.Policy, nil
+	return ar.FinalTail(), ar.Policy, nil
 }
 
 // SLAConfig parametrizes budget minimization under a tail-latency SLA.

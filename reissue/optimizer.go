@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"repro/internal/rangequery"
+	"repro/internal/stats"
 )
 
 // Prediction reports what the optimizer expects the chosen policy to
@@ -144,15 +145,26 @@ func ComputeOptimalSingleRCorrelated(rx []float64, pairs []rangequery.Point, k, 
 	if err := checkOptimizerArgs(len(rx), k, B); err != nil {
 		return SingleR{}, Prediction{}, err
 	}
+	return ComputeOptimalSingleRCorrelatedSorted(sortedCopy(rx), pairs, k, B)
+}
+
+// ComputeOptimalSingleRCorrelatedSorted is ComputeOptimalSingleRCorrelated
+// for callers that already hold the primary log sorted: sx must be
+// sorted ascending and is read but never modified or retained, as in
+// ComputeOptimalSingleRSorted. The adaptive loop hands it the sorted
+// view it measures with, so each trial sorts its primary log once.
+func ComputeOptimalSingleRCorrelatedSorted(sx []float64, pairs []rangequery.Point, k, B float64) (SingleR, Prediction, error) {
+	if err := checkOptimizerArgs(len(sx), k, B); err != nil {
+		return SingleR{}, Prediction{}, err
+	}
 	if len(pairs) == 0 {
 		return SingleR{}, Prediction{}, fmt.Errorf("reissue: no response-time pairs")
 	}
-	sx := sortedCopy(rx)
 	sy := make([]float64, len(pairs))
 	for i, p := range pairs {
 		sy[i] = p.Y
 	}
-	sort.Float64s(sy)
+	stats.SortFloat64s(sy)
 	tree := rangequery.NewMergeTree(pairs)
 	fyTD := rangequery.NewFinger(sy)
 	nx := float64(len(sx))
@@ -270,8 +282,13 @@ func OptimalSingleD(rx []float64, B float64) (SingleD, error) {
 	if B <= 0 || B >= 1 {
 		return SingleD{}, fmt.Errorf("reissue: SingleD budget %v outside (0, 1)", B)
 	}
-	sx := sortedCopy(rx)
-	// Smallest sample d with fraction of samples > d at most B.
+	return singleDOnLog(sortedCopy(rx), B), nil
+}
+
+// singleDOnLog is OptimalSingleD's delay on an already-sorted
+// non-empty log: the smallest sample d with the fraction of samples
+// above d at most B.
+func singleDOnLog(sx []float64, B float64) SingleD {
 	n := len(sx)
 	idx := int(math.Ceil(float64(n)*(1-B))) - 1
 	if idx < 0 {
@@ -280,7 +297,7 @@ func OptimalSingleD(rx []float64, B float64) (SingleD, error) {
 	if idx >= n {
 		idx = n - 1
 	}
-	return SingleD{D: sx[idx]}, nil
+	return SingleD{D: sx[idx]}
 }
 
 func checkOptimizerArgs(n int, k, B float64) error {
@@ -299,6 +316,6 @@ func checkOptimizerArgs(n int, k, B float64) error {
 func sortedCopy(xs []float64) []float64 {
 	s := make([]float64, len(xs))
 	copy(s, xs)
-	sort.Float64s(s)
+	stats.SortFloat64s(s)
 	return s
 }
