@@ -15,7 +15,9 @@ import (
 	"container/heap"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"sync"
 
 	"repro/internal/stats"
 )
@@ -264,11 +266,29 @@ func (ix *Index) searchAND(terms []int, topK int) Result {
 	return Result{Hits: drainHits(h), Work: work}
 }
 
+// orScratch is searchOR's accumulator: a dense score slab indexed by
+// document id, a flag per document, and the list of documents the
+// query touched. Only touched entries are ever non-zero, and searchOR
+// clears them before returning the scratch to orPool.
+type orScratch struct {
+	scores  []float64
+	seen    []bool
+	touched []int32
+}
+
+// orPool lends accumulators to concurrent searches (live replicas
+// share one Index); a slab is grown to the largest index it served.
+var orPool = sync.Pool{New: func() any { return new(orScratch) }}
+
 // searchOR accumulates scores term-at-a-time over the union of the
 // postings lists.
 func (ix *Index) searchOR(terms []int, topK int) Result {
+	sc := orPool.Get().(*orScratch)
+	if len(sc.scores) < ix.numDocs {
+		sc.scores = make([]float64, ix.numDocs)
+		sc.seen = make([]bool, ix.numDocs)
+	}
 	var work Work
-	scores := make(map[int32]float64)
 	for _, t := range terms {
 		if t < 0 || t >= ix.numTerms {
 			continue
@@ -276,21 +296,35 @@ func (ix *Index) searchOR(terms []int, topK int) Result {
 		idf := ix.IDF(t)
 		for _, p := range ix.postings[t] {
 			work.Postings++
-			scores[p.Doc] += float64(p.TF) * idf
+			if !sc.seen[p.Doc] {
+				sc.seen[p.Doc] = true
+				sc.touched = append(sc.touched, p.Doc)
+			}
+			sc.scores[p.Doc] += float64(p.TF) * idf
 		}
 	}
-	// Score documents in id order so tie-breaking is deterministic
-	// regardless of map iteration order.
-	docs := make([]int32, 0, len(scores))
-	for doc := range scores {
-		docs = append(docs, doc)
+	// Score documents in id order so tie-breaking is deterministic:
+	// sort a sparse touched list, or rebuild it in order from the
+	// flags once the union covers enough of the corpus that one scan
+	// is cheaper than the sort.
+	if len(sc.touched) < ix.numDocs/32 {
+		slices.Sort(sc.touched)
+	} else {
+		sc.touched = sc.touched[:0]
+		for doc, in := range sc.seen[:ix.numDocs] {
+			if in {
+				sc.touched = append(sc.touched, int32(doc))
+			}
+		}
 	}
-	sort.Slice(docs, func(i, j int) bool { return docs[i] < docs[j] })
 	h := &hitHeap{}
-	for _, doc := range docs {
+	for _, doc := range sc.touched {
 		work.Scored++
-		pushHit(h, Hit{Doc: doc, Score: scores[doc]}, topK)
+		pushHit(h, Hit{Doc: doc, Score: sc.scores[doc]}, topK)
+		sc.scores[doc], sc.seen[doc] = 0, false
 	}
+	sc.touched = sc.touched[:0]
+	orPool.Put(sc)
 	return Result{Hits: drainHits(h), Work: work}
 }
 
