@@ -17,6 +17,10 @@
 //	go run ./cmd/reissue-bench -short -out BENCH_sim.json
 //
 // after verifying the change is an intentional improvement.
+//
+// Profile first, then optimise: -cpuprofile writes a CPU profile of
+// the whole suite (warm-up runs included) and -memprofile a heap
+// profile taken after it, for `go tool pprof`.
 package main
 
 import (
@@ -25,6 +29,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"runtime/pprof"
 	"sort"
 	"strings"
 	"time"
@@ -73,6 +78,8 @@ func main() {
 		short      = flag.Bool("short", false, "reduced workload scale and a single timed iteration (the CI configuration)")
 		workers    = flag.Int("workers", 4, "worker-pool size for the parallel-sweep benchmark (fixed, not NumCPU, so baselines are comparable across machines)")
 		notes      = flag.String("notes", "", "free-form note recorded in the output")
+		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the benchmark suite to this file")
+		memProfile = flag.String("memprofile", "", "write a heap profile taken after the benchmark suite to this file")
 	)
 	flag.Parse()
 
@@ -95,6 +102,11 @@ func main() {
 		file.Notes = append(file.Notes, *notes)
 	}
 
+	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "reissue-bench: %v\n", err)
+		os.Exit(1)
+	}
 	for _, b := range benchmarks(sc, *workers) {
 		res, err := measure(b.name, iters, b.fn)
 		if err != nil {
@@ -104,6 +116,10 @@ func main() {
 		fmt.Printf("%-32s %12.0f ns/op %10.0f allocs/op %12.0f B/op\n",
 			res.Name, res.NsPerOp, res.AllocsPerOp, res.BytesPerOp)
 		file.Benchmarks = append(file.Benchmarks, res)
+	}
+	if err := stopProfiles(); err != nil {
+		fmt.Fprintf(os.Stderr, "reissue-bench: %v\n", err)
+		os.Exit(1)
 	}
 
 	// The sweep harness guarantees byte-identical output at any
@@ -155,6 +171,43 @@ func main() {
 	}
 	fmt.Printf("no regressions vs %s (max-regress %.0f%%, time gate %v)\n",
 		*baseline, *maxRegress*100, *timeGate)
+}
+
+// startProfiles starts a CPU profile into cpuPath when it is set and
+// returns the function that stops it and, when memPath is set, writes
+// a heap profile there after a collection.
+func startProfiles(cpuPath, memPath string) (stop func() error, err error) {
+	var cpu *os.File
+	if cpuPath != "" {
+		if cpu, err = os.Create(cpuPath); err != nil {
+			return nil, err
+		}
+		if err := pprof.StartCPUProfile(cpu); err != nil {
+			cpu.Close()
+			return nil, err
+		}
+	}
+	return func() error {
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			if err := cpu.Close(); err != nil {
+				return err
+			}
+		}
+		if memPath == "" {
+			return nil
+		}
+		f, err := os.Create(memPath)
+		if err != nil {
+			return err
+		}
+		runtime.GC()
+		if err := pprof.WriteHeapProfile(f); err != nil {
+			f.Close()
+			return err
+		}
+		return f.Close()
+	}, nil
 }
 
 type bench struct {

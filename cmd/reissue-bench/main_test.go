@@ -1,6 +1,8 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -99,5 +101,37 @@ func TestCompareCoverageDropAndScaleMismatch(t *testing.T) {
 	pool.SweepWorkers = 8
 	if fails := compare(base, pool, 0.20, false); len(fails) != 1 || !strings.Contains(fails[0], "mismatch") {
 		t.Fatalf("sweep-workers mismatch not flagged: %v", fails)
+	}
+}
+
+func TestStartProfilesWritesBoth(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
+	stop, err := startProfiles(cpu, mem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := optimizerBench()(); err != nil {
+		t.Fatal(err)
+	}
+	if err := stop(); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{cpu, mem} {
+		if fi, err := os.Stat(p); err != nil || fi.Size() == 0 {
+			t.Fatalf("%s: profile missing or empty (%v)", p, err)
+		}
+	}
+
+	// Neither flag set: nothing to start, nothing to write.
+	stop, err = startProfiles("", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := stop(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := startProfiles(filepath.Join(dir, "missing", "cpu.prof"), ""); err == nil {
+		t.Fatal("unwritable CPU profile path accepted")
 	}
 }

@@ -95,7 +95,10 @@ type Config struct {
 	// instantaneous rate at time t is ArrivalRate*RateMultiplier(t).
 	// It models the diurnal/step load variation of the paper's
 	// Section 4.4 "varying load" scenario. Must return positive
-	// values; nil means constant rate.
+	// values and be a pure function of t: common random numbers
+	// (FreshPerRun false) assume every run sees the same arrival
+	// instants, and a run may replay the instants an earlier run
+	// computed instead of calling it again. Nil means constant rate.
 	RateMultiplier func(t float64) float64
 	// OnRequestComplete, when set, is invoked each time a request
 	// copy finishes service, with whether it was a reissue, its
@@ -195,6 +198,18 @@ type Config struct {
 	// policy comparisons and adaptive refinement converge at
 	// practical sample sizes; policy coin flips still come from
 	// their own stream and vary per policy.
+	//
+	// Because that draw (arrival instants, primary and reissue
+	// service times, connections) is identical every run, a run does
+	// not redraw it: it replays the values the previous run of the
+	// same Cluster left in its pooled query records. Replay applies
+	// only when all three hold: FreshPerRun is false; Source is a
+	// DistSource (stateless sampling from the stream, unlike a
+	// TraceSource or a graph leaf's masked source, whose service
+	// times can change between runs); and the engine was not adopted
+	// (AdoptState) since the draw. Results are bit-identical either
+	// way. A DistSource's Dist must therefore sample from the RNG
+	// alone, as every stats distribution does.
 	FreshPerRun bool
 }
 
@@ -802,10 +817,14 @@ func (c *Cluster) RunDetailed(p reissue.Policy) *Result {
 		//lint:allow saltdiscipline pre-Mix64 reseed sequence pinned by the figure goldens and sim-live agreement tests
 		seed += c.runs * 0x9e3779b9
 	}
+	rs := c.state()
+	// A run that replays the workload draw (see Config.FreshPerRun)
+	// reads no arrival, service or connection stream.
+	replay := rs.drawn
 	root := stats.NewRNG(seed)
-	arrivalRNG := root.Split(1)
-	serviceRNG := root.Split(2)
-	if cfg.ServiceSeed != 0 {
+	arrivalRNG := drawStream(root, 1, replay)
+	serviceRNG := drawStream(root, 2, replay)
+	if cfg.ServiceSeed != 0 && !replay {
 		serviceRNG = stats.NewRNG(seed ^ cfg.ServiceSeed).Split(2)
 	}
 	policyRNG := root.Split(3)
@@ -816,9 +835,8 @@ func (c *Cluster) RunDetailed(p reissue.Policy) *Result {
 		policyRNG = stats.NewRNG(seed ^ cfg.PolicySeed).Split(3)
 	}
 	lbRNG := root.Split(4)
-	connRNG := root.Split(5)
+	connRNG := drawStream(root, 5, replay)
 
-	rs := c.state()
 	rs.policy = p
 	rs.policyRNG = policyRNG
 	rs.lbRNG = lbRNG
@@ -831,7 +849,6 @@ func (c *Cluster) RunDetailed(p reissue.Policy) *Result {
 	// common random numbers every run draws the same values, so a
 	// run after the first replays them from the records instead; the
 	// replay rule is on Config.FreshPerRun.
-	replay := rs.drawn
 	at := 0.0
 	fan := cfg.FanOut
 	if fan < 1 {
@@ -970,6 +987,18 @@ func (c *Cluster) RunDetailed(p reissue.Policy) *Result {
 		res.Utilization = math.NaN()
 	}
 	return res
+}
+
+// drawStream splits root's workload-draw stream with the given label,
+// or, when the run replays the draw, only advances root as the split
+// would, so the streams split after it are unchanged and no generator
+// is allocated.
+func drawStream(root *stats.RNG, label uint64, replay bool) *stats.RNG {
+	if replay {
+		root.Uint64()
+		return nil
+	}
+	return root.Split(label)
 }
 
 // ArrivalRateForUtilization returns the Poisson arrival rate that

@@ -4,6 +4,7 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // radixCutoff is the length below which SortFloat64s hands the slice
@@ -11,10 +12,43 @@ import (
 // comparison sort saves.
 const radixCutoff = 384
 
-// radixScratch pools the key buffer SortFloat64s scatters through, so
-// repeated sorts of same-sized logs (the adaptive loop's trials)
-// allocate nothing in steady state.
-var radixScratch = sync.Pool{New: func() any { return new([]uint64) }}
+// radixScratch pools the key buffers SortFloat64s scatters through,
+// so repeated sorts of same-sized logs (the adaptive loop's trials)
+// allocate nothing in steady state. Garbage collection empties a
+// sync.Pool, so one buffer of at most radixSpareMax keys also waits
+// in radixSpare, which a collection leaves alone: a caller sorting
+// on one goroutine at a time never allocates again.
+var (
+	radixScratch sync.Pool
+	radixSpare   atomic.Pointer[[]uint64]
+)
+
+// radixSpareMax bounds the memory radixSpare keeps (8 MB of keys).
+const radixSpareMax = 1 << 20
+
+// getScratch returns a key buffer with capacity for n keys, from the
+// spare, the pool, or a fresh allocation, in that order.
+func getScratch(n int) *[]uint64 {
+	bufp := radixSpare.Swap(nil)
+	if bufp == nil {
+		bufp, _ = radixScratch.Get().(*[]uint64)
+	}
+	if bufp == nil {
+		bufp = new([]uint64)
+	}
+	if cap(*bufp) < n {
+		*bufp = make([]uint64, n)
+	}
+	return bufp
+}
+
+// putScratch returns a buffer to the spare slot, or to the pool when
+// the slot is taken or the buffer too large to keep.
+func putScratch(bufp *[]uint64) {
+	if cap(*bufp) > radixSpareMax || !radixSpare.CompareAndSwap(nil, bufp) {
+		radixScratch.Put(bufp)
+	}
+}
 
 // SortFloat64s sorts xs ascending in place, in the order
 // sort.Float64s gives: NaNs first, then increasing values. Equal
@@ -48,10 +82,7 @@ func SortFloat64s(xs []float64) {
 		hist[6][byte(k>>48)]++
 		hist[7][byte(k>>56)]++
 	}
-	bufp := radixScratch.Get().(*[]uint64)
-	if cap(*bufp) < n {
-		*bufp = make([]uint64, n)
-	}
+	bufp := getScratch(n)
 	scratch := (*bufp)[:n]
 
 	// Keys travel between xs (as floats) and scratch (as keys); inXs
@@ -91,7 +122,7 @@ func SortFloat64s(xs []float64) {
 			xs[i] = keyFloat(k)
 		}
 	}
-	radixScratch.Put(bufp)
+	putScratch(bufp)
 }
 
 // floatKey maps x to a uint64 whose unsigned order is x's numeric

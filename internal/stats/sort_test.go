@@ -3,9 +3,11 @@ package stats
 import (
 	"encoding/binary"
 	"math"
+	"runtime"
 	"slices"
 	"sort"
 	"strconv"
+	"sync"
 	"testing"
 )
 
@@ -116,16 +118,43 @@ func TestSortFloat64sAllocs(t *testing.T) {
 		src[i] = r.ExpFloat64()
 	}
 	xs := make([]float64, len(src))
-	SortFloat64s(slices.Clone(src)) // fill the scratch pool
+	SortFloat64s(slices.Clone(src)) // fill the spare buffer
 	allocs := testing.AllocsPerRun(20, func() {
 		copy(xs, src)
 		SortFloat64s(xs)
+		runtime.GC() // empties the sync.Pool, not the spare
 	})
-	// The pool may be emptied by a collection mid-run; one refill in
-	// twenty runs is the most this tolerates.
-	if allocs > 0.1 {
-		t.Fatalf("SortFloat64s allocates %.2f times per call with a warm pool", allocs)
+	if allocs != 0 {
+		t.Fatalf("SortFloat64s allocates %.2f times per call once warm", allocs)
 	}
+}
+
+// TestSortFloat64sConcurrent sorts from several goroutines at once, so
+// buffers pass between the spare slot and the pool under contention
+// (run with -race).
+func TestSortFloat64sConcurrent(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(seed uint64) {
+			defer wg.Done()
+			r := NewRNG(seed)
+			for i := 0; i < 30; i++ {
+				xs := make([]float64, radixCutoff+r.Intn(3000))
+				for j := range xs {
+					xs[j] = r.NormFloat64()
+				}
+				want := slices.Clone(xs)
+				sort.Float64s(want)
+				SortFloat64s(xs)
+				if !slices.Equal(xs, want) {
+					t.Errorf("goroutine %d sort %d differs from sort.Float64s", seed, i)
+					return
+				}
+			}
+		}(uint64(g))
+	}
+	wg.Wait()
 }
 
 // FuzzSortFloat64s reads data as little-endian float64 bit patterns and
