@@ -142,9 +142,6 @@ func countLE(sorted []float64, t float64) int {
 // pair set must not be used for Pr(X <= t) — it is conditioned on
 // slow primaries — which is why rx is a separate argument.
 func ComputeOptimalSingleRCorrelated(rx []float64, pairs []rangequery.Point, k, B float64) (SingleR, Prediction, error) {
-	if err := checkOptimizerArgs(len(rx), k, B); err != nil {
-		return SingleR{}, Prediction{}, err
-	}
 	return ComputeOptimalSingleRCorrelatedSorted(sortedCopy(rx), pairs, k, B)
 }
 
