@@ -11,7 +11,7 @@ import (
 // batchServer builds a Batch-discipline server that records launched
 // batch memberships (by query id) and completion times.
 func batchServer(bcfg sched.BatchConfig, sim *des.Sim, batches *[][]int, doneAt *map[int]float64) *server {
-	return newServer(0, Batch, bcfg, sim,
+	return newServer(0, Batch, bcfg, sim, new(int),
 		func(r *request, now float64) { (*doneAt)[r.q.id] = now },
 		func(_ int, members []*request) {
 			ids := make([]int, len(members))

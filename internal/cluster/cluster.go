@@ -415,11 +415,7 @@ func (c *Cluster) AdoptState(prev *Cluster) {
 	rs.drawn = false
 	n := c.cfg.Servers
 	if n != len(rs.servers) || (n > 0 && (rs.servers[0].discipline != c.cfg.Discipline || rs.servers[0].bcfg != c.cfg.Batch)) {
-		rs.servers = make([]*server, n)
-		rs.lengths = make([]int, n)
-		for i := range rs.servers {
-			rs.servers[i] = newServer(i, c.cfg.Discipline, c.cfg.Batch, rs.sim, rs.onComplete, rs.recordBatch)
-		}
+		rs.buildServers(&c.cfg)
 	}
 	c.rs = rs
 }
@@ -512,7 +508,7 @@ type runState struct {
 
 	queries []query
 	servers []*server
-	lengths []int
+	lengths []int // published queue lengths, one slot per server
 	arena   reqArena
 	planBuf []float64
 
@@ -555,12 +551,8 @@ func (c *Cluster) state() *runState {
 		rs.infDoneFn = rs.infComplete
 		rs.slowFn = rs.setSlow
 		rs.chaosDoneFn = rs.chaosComplete
-		if n := c.cfg.Servers; n > 0 {
-			rs.servers = make([]*server, n)
-			rs.lengths = make([]int, n)
-			for i := range rs.servers {
-				rs.servers[i] = newServer(i, c.cfg.Discipline, c.cfg.Batch, rs.sim, rs.onComplete, rs.recordBatch)
-			}
+		if c.cfg.Servers > 0 {
+			rs.buildServers(&c.cfg)
 		}
 		c.rs = rs
 	}
@@ -600,11 +592,15 @@ func (rs *runState) recordBatch(server int, members []*request) {
 	rs.batches = append(rs.batches, BatchRecord{Server: server, Members: ms})
 }
 
-func (rs *runState) queueLens() []int {
-	for i, s := range rs.servers {
-		rs.lengths[i] = s.Len()
+// buildServers makes cfg.Servers fresh servers, each publishing its
+// queue length into its own slot of rs.lengths.
+func (rs *runState) buildServers(cfg *Config) {
+	n := cfg.Servers
+	rs.servers = make([]*server, n)
+	rs.lengths = make([]int, n)
+	for i := range rs.servers {
+		rs.servers[i] = newServer(i, cfg.Discipline, cfg.Batch, rs.sim, &rs.lengths[i], rs.onComplete, rs.recordBatch)
 	}
-	return rs.lengths
 }
 
 // onComplete handles one finished request copy — it is the single
@@ -683,7 +679,7 @@ func (rs *runState) dispatch(r *request, now float64, exclude int) int {
 		}
 		idx = qp.placeQuery(r.q.id, reissues, rs.cfg.Servers)
 	} else {
-		idx = rs.cfg.LB.Pick(rs.lbRNG, rs.queueLens(), exclude)
+		idx = rs.cfg.LB.Pick(rs.lbRNG, rs.lengths, exclude)
 	}
 	if rs.chaos != nil {
 		routed, ok := rs.chaos.route(idx, now)
@@ -744,8 +740,11 @@ func (rs *runState) arrive(now float64, qi int, _ float64) {
 	prim.dispatch = now
 	prim.conn = q.conn
 	q.primaryServer = rs.dispatch(prim, now, -1)
+	// Arrivals fire in time order, so a fixed-delay plan's timers come
+	// out sorted across queries and ride the event list's sorted lane;
+	// the rare out-of-order timer falls back to the heap.
 	for _, d := range rs.plan() {
-		rs.sim.AfterArg(d, rs.reissueFn, qi, d)
+		rs.sim.AtSorted(now+d, rs.reissueFn, qi, d)
 	}
 }
 

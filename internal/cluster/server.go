@@ -103,6 +103,12 @@ type server struct {
 	// (Config.SpeedFactors); 1 for a nominal server.
 	baseSpeed float64
 
+	// length is this server's slot in the run's published
+	// queue-length vector (runState.lengths, what LB.Pick reads). The
+	// server rewrites it with Len at the end of every state change, so
+	// a pick never rebuilds the vector.
+	length *int
+
 	onComplete func(r *request, now float64)
 	// onBatch reports a launched batch's membership (Batch discipline
 	// only); nil disables the batch log.
@@ -111,10 +117,10 @@ type server struct {
 	lingerEv   des.ArgEvent
 }
 
-func newServer(id int, d Discipline, bcfg sched.BatchConfig, sim *des.Sim,
+func newServer(id int, d Discipline, bcfg sched.BatchConfig, sim *des.Sim, length *int,
 	onComplete func(*request, float64), onBatch func(int, []*request)) *server {
 	s := &server{
-		id: id, discipline: d, bcfg: bcfg, sim: sim,
+		id: id, discipline: d, bcfg: bcfg, sim: sim, length: length,
 		onComplete: onComplete, onBatch: onBatch,
 		slowFactor: 1, baseSpeed: 1,
 		q: sched.MustQueue[*request](sched.Config{Discipline: d, Batch: bcfg}),
@@ -136,6 +142,7 @@ func (s *server) reset() {
 	s.busyTime = 0
 	s.slowFactor = 1
 	s.baseSpeed = 1
+	s.publish()
 }
 
 // Len returns the instantaneous queue length: waiting requests plus
@@ -154,24 +161,27 @@ func (s *server) Len() int {
 	return n
 }
 
+// publish writes Len into the server's published queue-length slot.
+func (s *server) publish() { *s.length = s.Len() }
+
 // Enqueue accepts a request at time now. Single-serve disciplines
 // start service immediately when the server is idle; the Batch
 // discipline always admits through the core and then decides whether
 // a batch launches now (full, or zero linger) or the linger window
 // arms.
 func (s *server) Enqueue(r *request, now float64) {
-	if s.discipline == Batch {
+	switch {
+	case s.discipline == Batch:
 		s.q.Push(r, r.reissue, r.conn)
 		if !s.busy {
 			s.considerLaunch(now)
 		}
-		return
-	}
-	if !s.busy {
+	case !s.busy:
 		s.start(r, now)
-		return
+	default:
+		s.q.Push(r, r.reissue, r.conn)
 	}
-	s.q.Push(r, r.reissue, r.conn)
+	s.publish()
 }
 
 // pop removes and returns the next live request to serve, skipping
@@ -229,6 +239,7 @@ func (s *server) lingerFire(now float64, epoch int, _ float64) {
 		return
 	}
 	s.launchBatch(now)
+	s.publish()
 }
 
 // launchBatch pops the batch membership from the core and holds the
@@ -272,6 +283,7 @@ func (s *server) complete(now float64, _ int, _ float64) {
 		}
 		s.batch = s.batch[:0]
 		s.considerLaunch(now)
+		s.publish()
 		return
 	}
 	r := s.cur
@@ -281,4 +293,5 @@ func (s *server) complete(now float64, _ int, _ float64) {
 	if next := s.pop(); next != nil {
 		s.start(next, now)
 	}
+	s.publish()
 }

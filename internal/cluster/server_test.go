@@ -10,7 +10,7 @@ import (
 // newTestServer builds a server with no batch config and no batch log
 // — the single-serve disciplines these tests exercise.
 func newTestServer(d Discipline, sim *des.Sim, onComplete func(*request, float64)) *server {
-	return newServer(0, d, sched.BatchConfig{}, sim, onComplete, nil)
+	return newServer(0, d, sched.BatchConfig{}, sim, new(int), onComplete, nil)
 }
 
 // collectOrder runs requests through a server and records completion

@@ -11,8 +11,10 @@
 //
 // The event list is built for throughput on the simulator's hot path:
 // a 4-ary heap of (time, seq, slot) keys over a pooled slab of typed
-// event records. Scheduling an event costs no allocation once the
-// slab and heap have grown to the simulation's peak pending count,
+// event records, beside two sorted FIFO lanes that take the streams
+// scheduled in time order (arrivals, fixed-delay timers) at O(1)
+// each. Scheduling an event costs no allocation once the slab, heap
+// and lanes have grown to the simulation's peak pending count,
 // and a Sim can be Reset and reused across runs so repeated
 // simulations (the adaptive optimizer's trials, figure regeneration)
 // run allocation-free in steady state. Handles are generation-counted
@@ -101,18 +103,71 @@ type Sim struct {
 	slab  []slot  // pooled event records
 	free  []int32 // free slab indices
 
-	// lane is the monotone fast path: a FIFO of events whose times
-	// were scheduled in non-decreasing order (an open-loop arrival
-	// process, a precomputed trace). Because both time and seq are
-	// non-decreasing along the lane, its head is always its minimum,
-	// so scheduling and popping cost O(1) instead of a heap
-	// operation — and keeping bulk-scheduled arrivals out of the
-	// heap keeps the heap shallow for everything else. Step/Run
-	// merge the lane head with the heap top under the same global
-	// (time, seq) order, so firing order is identical to scheduling
-	// everything on the heap.
-	lane     []entry
-	laneHead int
+	// lanes are the sorted fast paths beside the heap: FIFOs whose
+	// entries were appended in non-decreasing time order. Because both
+	// time and seq are non-decreasing along a lane, its head is always
+	// its minimum, so scheduling and popping cost O(1) instead of a heap
+	// operation, and keeping sorted streams out of the heap keeps the
+	// heap shallow for everything else. Step/Run merge the lane heads
+	// with the heap top under the same global (time, seq) order, so
+	// firing order is identical to scheduling everything on the heap.
+	//
+	// lanes[arrivalLane] is AtMonotone's lane for bulk-scheduled
+	// sorted streams (an open-loop arrival process, a precomputed
+	// trace); lanes[sortedLane] is AtSorted's lane for streams that are
+	// sorted almost always, such as fixed-delay reissue timers.
+	lanes [2]lane
+}
+
+const (
+	arrivalLane = iota
+	sortedLane
+)
+
+// fromHeap is the peek source that names the heap rather than a lane.
+const fromHeap = -1
+
+// lane is one sorted FIFO of entries. head indexes the first pending
+// entry; the consumed prefix is reclaimed when the lane drains or
+// when an append would otherwise grow a half-consumed backing array.
+type lane struct {
+	ents []entry
+	head int
+}
+
+// tail returns the last pending entry's time, or -Inf when the lane
+// is empty.
+func (l *lane) tail() float64 {
+	if n := len(l.ents); n > l.head {
+		return l.ents[n-1].time
+	}
+	return math.Inf(-1)
+}
+
+func (l *lane) append(e entry) {
+	if len(l.ents) == cap(l.ents) && l.head > 0 && 2*l.head >= len(l.ents) {
+		// Slide the pending suffix down instead of growing: a lane that
+		// is fed while it drains stays at about twice its peak pending
+		// count rather than holding every entry of the run.
+		n := copy(l.ents, l.ents[l.head:])
+		l.ents = l.ents[:n]
+		l.head = 0
+	}
+	l.ents = append(l.ents, e)
+}
+
+// pop drops the head entry.
+func (l *lane) pop() {
+	l.head++
+	if l.head == len(l.ents) {
+		l.ents = l.ents[:0]
+		l.head = 0
+	}
+}
+
+func (l *lane) reset() {
+	l.ents = l.ents[:0]
+	l.head = 0
 }
 
 // New creates an empty simulation whose clock starts at 0.
@@ -127,8 +182,9 @@ func New() *Sim { return &Sim{} }
 func (s *Sim) Reset() {
 	s.now, s.seq, s.fired = 0, 0, 0
 	s.heap = s.heap[:0]
-	s.lane = s.lane[:0]
-	s.laneHead = 0
+	for i := range s.lanes {
+		s.lanes[i].reset()
+	}
 	s.free = s.free[:0]
 	for i := range s.slab {
 		sl := &s.slab[i]
@@ -150,7 +206,13 @@ func (s *Sim) Fired() uint64 { return s.fired }
 
 // Pending returns the number of events still scheduled (including
 // lazily-cancelled ones not yet dropped).
-func (s *Sim) Pending() int { return len(s.heap) + len(s.lane) - s.laneHead }
+func (s *Sim) Pending() int {
+	n := len(s.heap)
+	for i := range s.lanes {
+		n += len(s.lanes[i].ents) - s.lanes[i].head
+	}
+	return n
+}
 
 func (s *Sim) checkTime(t float64) {
 	if t < s.now {
@@ -189,13 +251,10 @@ func (s *Sim) release(idx int32) {
 // panics: it is always a logic error in the calling model.
 func (s *Sim) At(t float64, fn Event) Handle {
 	s.checkTime(t)
-	idx := s.alloc()
-	sl := &s.slab[idx]
+	sl, e := s.record(t)
 	sl.fn = fn
-	h := Handle{s: s, slot: idx, gen: sl.gen}
-	s.push(entry{time: t, seq: s.seq, slot: idx})
-	s.seq++
-	return h
+	s.push(e)
+	return Handle{s: s, slot: e.slot, gen: sl.gen}
 }
 
 // AtArg schedules fn to run at absolute time t with the given
@@ -204,15 +263,10 @@ func (s *Sim) At(t float64, fn Event) Handle {
 // nothing beyond the pooled event record.
 func (s *Sim) AtArg(t float64, fn ArgEvent, arg int, x float64) Handle {
 	s.checkTime(t)
-	idx := s.alloc()
-	sl := &s.slab[idx]
-	sl.afn = fn
-	sl.arg = arg
-	sl.x = x
-	h := Handle{s: s, slot: idx, gen: sl.gen}
-	s.push(entry{time: t, seq: s.seq, slot: idx})
-	s.seq++
-	return h
+	sl, e := s.record(t)
+	sl.afn, sl.arg, sl.x = fn, arg, x
+	s.push(e)
+	return Handle{s: s, slot: e.slot, gen: sl.gen}
 }
 
 // AtMonotone schedules a payload-carrying event on the monotone lane:
@@ -224,47 +278,70 @@ func (s *Sim) AtArg(t float64, fn ArgEvent, arg int, x float64) Handle {
 // against heap-scheduled events is exactly as if At had been used.
 func (s *Sim) AtMonotone(t float64, fn ArgEvent, arg int, x float64) Handle {
 	s.checkTime(t)
-	if n := len(s.lane); n > s.laneHead && t < s.lane[n-1].time {
-		panic(fmt.Sprintf("des: AtMonotone time %v before laned %v", t, s.lane[n-1].time))
+	l := &s.lanes[arrivalLane]
+	if tail := l.tail(); t < tail {
+		panic(fmt.Sprintf("des: AtMonotone time %v before laned %v", t, tail))
 	}
+	sl, e := s.record(t)
+	sl.afn, sl.arg, sl.x = fn, arg, x
+	l.append(e)
+	return Handle{s: s, slot: e.slot, gen: sl.gen}
+}
+
+// AtSorted schedules a payload-carrying event like AtArg, on a second
+// sorted lane when t is no earlier than that lane's last pending time
+// and on the heap otherwise. It suits streams that are sorted almost
+// always — a fixed-delay reissue timer per arrival — and costs O(1)
+// on the lane. Firing order is exactly as if AtArg had been used.
+func (s *Sim) AtSorted(t float64, fn ArgEvent, arg int, x float64) Handle {
+	s.checkTime(t)
+	sl, e := s.record(t)
+	sl.afn, sl.arg, sl.x = fn, arg, x
+	if l := &s.lanes[sortedLane]; t >= l.tail() {
+		l.append(e)
+	} else {
+		s.push(e)
+	}
+	return Handle{s: s, slot: e.slot, gen: sl.gen}
+}
+
+// record claims a pooled event record for a new event at time t and
+// returns it with the event's (time, seq) key, consuming one seq.
+func (s *Sim) record(t float64) (*slot, entry) {
 	idx := s.alloc()
-	sl := &s.slab[idx]
-	sl.afn = fn
-	sl.arg = arg
-	sl.x = x
-	h := Handle{s: s, slot: idx, gen: sl.gen}
-	s.lane = append(s.lane, entry{time: t, seq: s.seq, slot: idx})
+	e := entry{time: t, seq: s.seq, slot: idx}
 	s.seq++
-	return h
+	return &s.slab[idx], e
 }
 
-// peek returns the globally (time, seq)-minimal pending entry and
-// whether it came from the lane, without removing it. Pending must be
-// non-zero for at least one of the sources.
-func (s *Sim) peek() (e entry, fromLane, ok bool) {
-	hasHeap := len(s.heap) > 0
-	hasLane := s.laneHead < len(s.lane)
-	switch {
-	case !hasHeap && !hasLane:
-		return entry{}, false, false
-	case hasLane && (!hasHeap || entryLess(s.lane[s.laneHead], s.heap[0])):
-		return s.lane[s.laneHead], true, true
-	default:
-		return s.heap[0], false, true
+// peek returns the globally (time, seq)-minimal pending entry and its
+// source (a lane index or fromHeap), without removing it; the entry is
+// nil when nothing is pending. The pointer is valid until the next
+// take.
+func (s *Sim) peek() (*entry, int) {
+	var e *entry
+	src := fromHeap
+	if len(s.heap) > 0 {
+		e = &s.heap[0]
 	}
+	for i := range s.lanes {
+		l := &s.lanes[i]
+		if l.head < len(l.ents) {
+			if c := &l.ents[l.head]; e == nil || entryLess(*c, *e) {
+				e, src = c, i
+			}
+		}
+	}
+	return e, src
 }
 
-// take removes the entry peek returned.
-func (s *Sim) take(fromLane bool) {
-	if fromLane {
-		s.laneHead++
-		if s.laneHead == len(s.lane) {
-			s.lane = s.lane[:0]
-			s.laneHead = 0
-		}
+// take removes the entry peek returned from its source.
+func (s *Sim) take(src int) {
+	if src == fromHeap {
+		s.popMin()
 		return
 	}
-	s.popMin()
+	s.lanes[src].pop()
 }
 
 // After schedules fn to run delay time units from now.
@@ -369,11 +446,12 @@ func (s *Sim) fire(e entry) {
 // false when no events remain.
 func (s *Sim) Step() bool {
 	for {
-		e, fromLane, ok := s.peek()
-		if !ok {
+		p, src := s.peek()
+		if p == nil {
 			return false
 		}
-		s.take(fromLane)
+		e := *p
+		s.take(src)
 		if s.slab[e.slot].dead {
 			s.release(e.slot)
 			continue
@@ -393,19 +471,20 @@ func (s *Sim) Run() {
 // tEnd. Events scheduled beyond tEnd remain pending.
 func (s *Sim) RunUntil(tEnd float64) {
 	for {
-		e, fromLane, ok := s.peek()
-		if !ok {
+		p, src := s.peek()
+		if p == nil {
 			break
 		}
+		e := *p
 		if s.slab[e.slot].dead {
-			s.take(fromLane)
+			s.take(src)
 			s.release(e.slot)
 			continue
 		}
 		if e.time > tEnd {
 			break
 		}
-		s.take(fromLane)
+		s.take(src)
 		s.fire(e)
 	}
 	if s.now < tEnd {

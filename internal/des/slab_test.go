@@ -127,25 +127,61 @@ func TestResetInvalidatesHandles(t *testing.T) {
 }
 
 // Reset preserves capacity: a warmed Sim schedules and fires without
-// allocating. The budget of 1 covers the event payload; in steady
-// state the engine itself allocates nothing.
+// allocating, on the heap and on both sorted lanes. The budget of 1
+// covers the event payload; in steady state the engine itself
+// allocates nothing.
 func TestScheduleFireAllocFree(t *testing.T) {
 	s := New()
-	cb := func(now float64, arg int, x float64) {}
+	var cb ArgEvent
+	cb = func(now float64, arg int, x float64) {
+		if x > 0 {
+			// A timer per laned arrival, mostly in order, as the
+			// cluster's reissue timers are; every 8th one is early and
+			// falls back to the heap.
+			s.AtSorted(now+x, cb, arg, 0)
+		}
+	}
 	warm := func() {
 		s.Reset()
 		for i := 0; i < 512; i++ {
 			s.AtArg(float64(i%17), cb, i, 0)
+			d := 3.0
+			if i%8 == 0 {
+				d = 1
+			}
+			s.AtMonotone(float64(i)*0.25, cb, i, d)
 		}
 		s.Run()
 	}
-	warm() // grow slab, heap, free list
+	warm() // grow slab, heap, lanes, free list
 	avg := testing.AllocsPerRun(20, warm)
-	// 512 schedule+fire cycles per run: ≤1 total alloc per run is far
+	// 2048 schedule+fire cycles per run: ≤1 total alloc per run is far
 	// under the ≤1-per-cycle acceptance bar, and catches any per-event
 	// allocation creeping back in.
 	if avg > 1 {
-		t.Fatalf("warmed schedule+fire allocated %.1f allocs per 512-event run, want ≤1", avg)
+		t.Fatalf("warmed schedule+fire allocated %.1f allocs per 2048-event run, want ≤1", avg)
+	}
+}
+
+// AtSorted lanes an event at or after its lane's tail and heaps an
+// earlier one; either way events fire in (time, seq) order.
+func TestSortedLaneFallsBackToHeap(t *testing.T) {
+	s := New()
+	var order []int
+	rec := func(_ float64, arg int, _ float64) { order = append(order, arg) }
+	s.AtSorted(5, rec, 0, 0)
+	s.AtSorted(5, rec, 1, 0) // equal to the tail: laned
+	s.AtSorted(3, rec, 2, 0) // before the tail: heap
+	s.AtSorted(7, rec, 3, 0)
+	if l := &s.lanes[sortedLane]; len(l.ents)-l.head != 3 || len(s.heap) != 1 {
+		t.Fatalf("lane holds %d, heap %d; want 3 and 1", len(l.ents)-l.head, len(s.heap))
+	}
+	s.Run()
+	want := []int{2, 0, 1, 3}
+	for i := range want {
+		if len(order) != len(want) || order[i] != want[i] {
+			t.Fatalf("fired %v, want %v", order, want)
+		}
 	}
 }
 

@@ -1,6 +1,9 @@
 package rangequery
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // Point is a 2-D point. In the optimizer's use, X is a primary-request
 // response time and Y is its paired reissue response time.
@@ -19,19 +22,36 @@ type Point struct {
 // The structure is immutable after construction, matching the
 // optimizer's read-only access pattern over a fixed response-time log.
 type MergeTree struct {
-	xs   []float64   // x-coordinates sorted ascending
-	ys   [][]float64 // segment-tree nodes: sorted y values per node
+	xs []float64 // x-coordinates sorted ascending
+	// ys holds one level of the segment tree per height h, in one
+	// backing slice: ys[h*n:(h+1)*n] are the points' Y values in X
+	// order, sorted within each aligned run of 2^h points — run j is
+	// the sorted Y multiset of the node covering points [j<<h,
+	// (j+1)<<h).
+	ys   []float64
 	n    int
-	size int
+	size int // leaf count, the smallest power of two >= n
 }
 
 // NewMergeTree builds a merge tree from the given points. The input
 // is copied.
+//
+// Points with equal X may land in any relative order. Counts do not
+// depend on it: equal-X points fall on the same side of every X > x
+// boundary, so each query covers the same multiset of points.
 func NewMergeTree(points []Point) *MergeTree {
 	n := len(points)
 	pts := make([]Point, n)
 	copy(pts, points)
-	sort.Slice(pts, func(i, j int) bool { return pts[i].X < pts[j].X })
+	slices.SortFunc(pts, func(a, b Point) int {
+		switch {
+		case a.X < b.X:
+			return -1
+		case a.X > b.X:
+			return 1
+		}
+		return 0
+	})
 
 	t := &MergeTree{n: n}
 	t.xs = make([]float64, n)
@@ -41,44 +61,42 @@ func NewMergeTree(points []Point) *MergeTree {
 	if n == 0 {
 		return t
 	}
-	size := 1
-	for size < n {
-		size *= 2
+	levels := 1
+	for t.size = 1; t.size < n; t.size *= 2 {
+		levels++
 	}
-	t.size = size
-	t.ys = make([][]float64, 2*size)
-	// Leaves.
-	for i := 0; i < n; i++ {
-		t.ys[size+i] = []float64{pts[i].Y}
+	t.ys = make([]float64, levels*n)
+	for i, p := range pts {
+		t.ys[i] = p.Y
 	}
-	for i := n; i < size; i++ {
-		t.ys[size+i] = nil
-	}
-	// Internal nodes: merge children.
-	for i := size - 1; i >= 1; i-- {
-		t.ys[i] = mergeSorted(t.ys[2*i], t.ys[2*i+1])
+	// Each level merges adjacent runs of the level below.
+	for h := 1; h < levels; h++ {
+		src, dst := t.ys[(h-1)*n:h*n], t.ys[h*n:(h+1)*n]
+		w := 1 << (h - 1)
+		for a := 0; a < n; a += 2 * w {
+			mid, end := min(a+w, n), min(a+2*w, n)
+			mergeInto(dst[a:end], src[a:mid], src[mid:end])
+		}
 	}
 	return t
 }
 
-func mergeSorted(a, b []float64) []float64 {
-	if len(a) == 0 && len(b) == 0 {
-		return nil
-	}
-	out := make([]float64, 0, len(a)+len(b))
-	i, j := 0, 0
+// mergeInto merges the sorted slices a and b into dst, which has
+// room for exactly both.
+func mergeInto(dst, a, b []float64) {
+	i, j, k := 0, 0, 0
 	for i < len(a) && j < len(b) {
 		if a[i] <= b[j] {
-			out = append(out, a[i])
+			dst[k] = a[i]
 			i++
 		} else {
-			out = append(out, b[j])
+			dst[k] = b[j]
 			j++
 		}
+		k++
 	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
+	k += copy(dst[k:], a[i:])
+	copy(dst[k:], b[j:])
 }
 
 // Len returns the number of points.
@@ -100,24 +118,32 @@ func (t *MergeTree) CountXGreaterYLE(x, y float64) int {
 }
 
 // countYLEInRange counts points with index in [lo, hi) whose Y <= y,
-// walking the segment tree.
+// walking the segment tree bottom-up; h is the height of the level
+// the walk is on.
 func (t *MergeTree) countYLEInRange(lo, hi int, y float64) int {
 	count := 0
 	lo += t.size
 	hi += t.size
-	for lo < hi {
+	for h := 0; lo < hi; h++ {
 		if lo&1 == 1 {
-			count += countLE(t.ys[lo], y)
+			count += countLE(t.node(h, lo), y)
 			lo++
 		}
 		if hi&1 == 1 {
 			hi--
-			count += countLE(t.ys[hi], y)
+			count += countLE(t.node(h, hi), y)
 		}
 		lo /= 2
 		hi /= 2
 	}
 	return count
+}
+
+// node returns the sorted Y values of segment-tree node i, which sits
+// at height h and lies wholly inside [0, n).
+func (t *MergeTree) node(h, i int) []float64 {
+	a := (i - t.size>>h) << h
+	return t.ys[h*t.n+a : h*t.n+a+1<<h]
 }
 
 func countLE(sorted []float64, y float64) int {

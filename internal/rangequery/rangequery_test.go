@@ -182,6 +182,44 @@ func TestMergeTreeProperty(t *testing.T) {
 	}
 }
 
+// Every query method matches a brute-force count on point sets where
+// most X values are tied — the case where the sort may order equal-X
+// points differently from their input order — with query coordinates
+// drawn from the same small grids so boundaries land on ties too.
+func TestMergeTreeTiedXMatchesBruteForce(t *testing.T) {
+	r := stats.NewRNG(7)
+	for trial := 0; trial < 300; trial++ {
+		n := r.Intn(80)
+		distinctX := 1 + r.Intn(6)
+		pts := make([]Point, n)
+		for i := range pts {
+			pts[i] = Point{X: float64(r.Intn(distinctX)), Y: float64(r.Intn(10))}
+		}
+		mt := NewMergeTree(pts)
+		if mt.Len() != n {
+			t.Fatalf("trial %d: Len = %d, want %d", trial, mt.Len(), n)
+		}
+		for x := -1.0; x <= float64(distinctX); x += 0.5 {
+			for y := -1.0; y <= 10; y += 0.5 {
+				gt, gtYle := bruteCount(pts, x, y)
+				if got := mt.CountXGreater(x); got != gt {
+					t.Fatalf("trial %d: CountXGreater(%v) = %d, want %d", trial, x, got, gt)
+				}
+				if got := mt.CountXGreaterYLE(x, y); got != gtYle {
+					t.Fatalf("trial %d: CountXGreaterYLE(%v, %v) = %d, want %d", trial, x, y, got, gtYle)
+				}
+				want := -1.0
+				if gt > 0 {
+					want = float64(gtYle) / float64(gt)
+				}
+				if got := mt.CondYLEGivenXGreater(y, x, -1); got != want {
+					t.Fatalf("trial %d: CondYLEGivenXGreater(%v, %v) = %v, want %v", trial, y, x, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestFingerMatchesBinarySearch(t *testing.T) {
 	xs := []float64{1, 2, 2, 3, 5, 8, 13}
 	fg := NewFinger(xs)

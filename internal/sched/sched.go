@@ -205,13 +205,22 @@ type Queue[T any] struct {
 	// FIFO / prioritized queues. fifo doubles as the primary queue
 	// for the prioritized disciplines and as the admission-order
 	// queue for Batch.
-	fifo []T
-	reis []T
+	fifo ring[T]
+	reis ring[T]
 
-	// Round-robin per-connection queues.
-	conns  map[int][]T
-	order  []int // round-robin visit order of connections with traffic
+	// Round-robin per-connection queues. conns keeps every
+	// connection's queue across Reset; order lists the connections
+	// with traffic since the last Reset, in first-traffic order.
+	conns  map[int]*connQueue[T]
+	order  []*connQueue[T] // round-robin visit order
 	cursor int
+}
+
+// connQueue is one round-robin connection's queue. listed reports
+// that the connection is in the queue's visit order.
+type connQueue[T any] struct {
+	ring[T]
+	listed bool
 }
 
 // NewQueue returns an empty queue under cfg. Batch parameters are
@@ -224,7 +233,7 @@ func NewQueue[T any](cfg Config) (*Queue[T], error) {
 	}
 	q := &Queue[T]{cfg: cfg}
 	if cfg.Discipline == RoundRobin {
-		q.conns = make(map[int][]T)
+		q.conns = make(map[int]*connQueue[T])
 		// Start before the first connection so the initial pop visits
 		// connections in arrival order.
 		q.cursor = -1
@@ -248,17 +257,13 @@ func (q *Queue[T]) Config() Config { return q.cfg }
 // Reset empties the queue for a fresh run, keeping capacity.
 func (q *Queue[T]) Reset() {
 	q.waiting = 0
-	var zero T
-	for i := range q.fifo {
-		q.fifo[i] = zero
-	}
-	q.fifo = q.fifo[:0]
-	for i := range q.reis {
-		q.reis[i] = zero
-	}
-	q.reis = q.reis[:0]
+	q.fifo.reset()
+	q.reis.reset()
 	if q.cfg.Discipline == RoundRobin {
-		clear(q.conns)
+		for _, cq := range q.order {
+			cq.reset()
+			cq.listed = false
+		}
 		q.order = q.order[:0]
 		q.cursor = -1
 	}
@@ -277,17 +282,23 @@ func (q *Queue[T]) Push(x T, reissue bool, conn int) {
 	switch q.cfg.Discipline {
 	case PrioFIFO, PrioLIFO:
 		if reissue {
-			q.reis = append(q.reis, x)
+			q.reis.push(x)
 			return
 		}
-		q.fifo = append(q.fifo, x)
+		q.fifo.push(x)
 	case RoundRobin:
-		if _, ok := q.conns[conn]; !ok {
-			q.order = append(q.order, conn)
+		cq := q.conns[conn]
+		if cq == nil {
+			cq = new(connQueue[T])
+			q.conns[conn] = cq
 		}
-		q.conns[conn] = append(q.conns[conn], x)
+		if !cq.listed {
+			cq.listed = true
+			q.order = append(q.order, cq)
+		}
+		cq.push(x)
 	default: // FIFO, Batch
-		q.fifo = append(q.fifo, x)
+		q.fifo.push(x)
 	}
 }
 
@@ -303,27 +314,20 @@ func (q *Queue[T]) Pop() (T, bool) {
 	q.waiting--
 	switch q.cfg.Discipline {
 	case PrioFIFO, PrioLIFO:
-		if len(q.fifo) > 0 {
-			return q.popHead(&q.fifo), true
+		if q.fifo.n > 0 {
+			return q.fifo.popFront(), true
 		}
 		if q.cfg.Discipline == PrioLIFO {
-			x := q.reis[len(q.reis)-1]
-			q.reis[len(q.reis)-1] = zero
-			q.reis = q.reis[:len(q.reis)-1]
-			return x, true
+			return q.reis.popBack(), true
 		}
-		return q.popHead(&q.reis), true
+		return q.reis.popFront(), true
 	case RoundRobin:
 		// Advance the cursor to the next connection with pending
 		// requests, serving one request per connection per turn.
 		for i := 0; i < len(q.order); i++ {
 			q.cursor = (q.cursor + 1) % len(q.order)
-			conn := q.order[q.cursor]
-			if cq := q.conns[conn]; len(cq) > 0 {
-				x := cq[0]
-				cq[0] = zero
-				q.conns[conn] = cq[1:]
-				return x, true
+			if cq := q.order[q.cursor]; cq.n > 0 {
+				return cq.popFront(), true
 			}
 		}
 		// Unreachable while waiting is consistent; keep the zero
@@ -331,7 +335,7 @@ func (q *Queue[T]) Pop() (T, bool) {
 		q.waiting++
 		return zero, false
 	default: // FIFO, Batch
-		return q.popHead(&q.fifo), true
+		return q.fifo.popFront(), true
 	}
 }
 
@@ -354,12 +358,59 @@ func (q *Queue[T]) PopBatch(dst []T, max int, live func(T) bool) []T {
 	return dst
 }
 
-// popHead removes and returns the head of *s, zeroing the vacated
-// slot so recycled queues do not pin caller records.
-func (q *Queue[T]) popHead(s *[]T) T {
+// ring is a growable FIFO/LIFO ring buffer. Its backing array's
+// length is zero or a power of two; popping zeroes the vacated slot
+// so recycled queues do not pin caller records, and reset keeps the
+// backing array for the next run.
+type ring[T any] struct {
+	buf  []T
+	head int // index of the first item
+	n    int // number of items
+}
+
+func (r *ring[T]) push(x T) {
+	if r.n == len(r.buf) {
+		r.grow()
+	}
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = x
+	r.n++
+}
+
+// grow doubles the backing array (to 8 from empty), unwrapping the
+// items to the front.
+func (r *ring[T]) grow() {
+	buf := make([]T, max(8, 2*len(r.buf)))
+	k := copy(buf, r.buf[r.head:])
+	copy(buf[k:], r.buf[:r.head])
+	r.buf = buf
+	r.head = 0
+}
+
+// popFront removes and returns the oldest item; the ring must be
+// non-empty.
+func (r *ring[T]) popFront() T {
 	var zero T
-	x := (*s)[0]
-	(*s)[0] = zero
-	*s = (*s)[1:]
+	x := r.buf[r.head]
+	r.buf[r.head] = zero
+	r.head = (r.head + 1) & (len(r.buf) - 1)
+	r.n--
 	return x
+}
+
+// popBack removes and returns the newest item; the ring must be
+// non-empty.
+func (r *ring[T]) popBack() T {
+	var zero T
+	r.n--
+	i := (r.head + r.n) & (len(r.buf) - 1)
+	x := r.buf[i]
+	r.buf[i] = zero
+	return x
+}
+
+// reset empties the ring, zeroing its items and keeping its backing
+// array.
+func (r *ring[T]) reset() {
+	clear(r.buf)
+	r.head, r.n = 0, 0
 }
