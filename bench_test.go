@@ -92,7 +92,7 @@ func BenchmarkFigure7a(b *testing.B) {
 	for _, kind := range []experiments.SystemKind{experiments.Redis, experiments.Lucene} {
 		b.Run(kind.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := experiments.Figure7a(kind, benchScale()); err != nil {
+				if _, err := experiments.RunJobs(benchScale(), experiments.Figure7aJob(kind, benchScale())); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -104,7 +104,7 @@ func BenchmarkFigure7b(b *testing.B) {
 	for _, kind := range []experiments.SystemKind{experiments.Redis, experiments.Lucene} {
 		b.Run(kind.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := experiments.Figure7b(kind, benchScale()); err != nil {
+				if _, err := experiments.RunJobs(benchScale(), experiments.Figure7bJob(kind, benchScale())); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -116,7 +116,7 @@ func BenchmarkFigure7c(b *testing.B) {
 	for _, kind := range []experiments.SystemKind{experiments.Redis, experiments.Lucene} {
 		b.Run(kind.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := experiments.Figure7c(kind, benchScale()); err != nil {
+				if _, err := experiments.RunJobs(benchScale(), experiments.Figure7cJob(kind, benchScale())); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -134,7 +134,7 @@ func BenchmarkFigure8(b *testing.B) {
 
 func BenchmarkFigure9(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Figure9(); err != nil {
+		if _, err := experiments.RunJobs(experiments.Scale{}, experiments.Figure9Job()); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -243,6 +243,7 @@ func benchmarks(sc experiments.Scale, sweepWorkers int) []bench {
 		{"DES/ScheduleFireReused", desReusedBench()},
 		{"Sim/BatchedInference", batchedBench(sc)},
 		{"Optimizer/ComputeOptimalSingleR", optimizerBench()},
+		{"Optimizer/ComputeOptimalSingleRCorrelated", correlatedOptimizerBench()},
 		{"Sweep/Figures/seq", sweepBench(sc, 1)},
 		{"Sweep/Figures/par", sweepBench(sc, sweepWorkers)},
 	}
@@ -342,6 +343,24 @@ func optimizerBench() func() error {
 	}
 	return func() error {
 		_, _, err := reissue.ComputeOptimalSingleR(rx, nil, 0.99, 0.02)
+		return err
+	}
+}
+
+// correlatedOptimizerBench solves the correlation-aware optimization
+// (Section 4.2) on 20k correlated (primary, reissue) pairs, Y = X/2 +
+// Z: the conditional-CDF sweep and its sorts.
+func correlatedOptimizerBench() func() error {
+	r := stats.NewRNG(1)
+	dist := stats.NewPareto(1.1, 2)
+	rx := make([]float64, 20_000)
+	pairs := make([]reissue.Point, len(rx))
+	for i := range rx {
+		rx[i] = dist.Sample(r)
+		pairs[i] = reissue.Point{X: rx[i], Y: 0.5*rx[i] + dist.Sample(r)}
+	}
+	return func() error {
+		_, _, err := reissue.ComputeOptimalSingleRCorrelated(rx, pairs, 0.99, 0.05)
 		return err
 	}
 }

@@ -32,7 +32,7 @@ func TestRunWithPolicyAndLog(t *testing.T) {
 	if log.Len() != 2000 {
 		t.Fatalf("log has %d records", log.Len())
 	}
-	if log.ReissueRate() == 0 {
+	if len(log.ReissueTimes()) == 0 {
 		t.Fatal("policy never reissued")
 	}
 }

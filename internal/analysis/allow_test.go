@@ -21,7 +21,7 @@ func TestLintDirectiveRequiresReason(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	findings, err := analysis.Findings(pkg, analysis.SaltDiscipline)
+	findings, err := analysis.Findings([]*analysis.Package{pkg}, analysis.SaltDiscipline)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,6 +16,8 @@
 //     and hedge.Fn implementations must honor their context.
 //   - snapshotaccounting: hedge.Snapshot counters are written only by
 //     the designated accounting code in hedge.go/breaker.go.
+//   - deadexports: every exported name of an internal package has a
+//     non-test user, so test-only API does not accumulate.
 //
 // cmd/reissue-vet is the multichecker binary; scripts/lint.sh and the
 // CI workflow run it alongside go vet. Deliberate exceptions are
@@ -57,6 +59,10 @@ type Pass struct {
 	Files     []*ast.File
 	Pkg       *types.Package
 	TypesInfo *types.Info
+	// Program holds every package loaded in this run, this one
+	// included, for analyzers that need a whole-program view. It is
+	// read-only.
+	Program []*Package
 
 	diags []Diagnostic
 }
@@ -127,77 +133,50 @@ func All() []*Analyzer {
 		SaltDiscipline,
 		CtxFlow,
 		SnapshotAccounting,
+		DeadExports,
 	}
-}
-
-// RunPackage executes one analyzer over one loaded package and
-// returns its raw (pre-suppression) diagnostics.
-func RunPackage(a *Analyzer, pkg *Package) ([]Diagnostic, error) {
-	pass := &Pass{
-		Analyzer:  a,
-		Fset:      pkg.Fset,
-		Files:     pkg.Files,
-		Pkg:       pkg.Types,
-		TypesInfo: pkg.Info,
-	}
-	if err := a.Run(pass); err != nil {
-		return nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.PkgPath, err)
-	}
-	return pass.diags, nil
 }
 
 // Run loads the packages matched by patterns (resolved relative to
-// the module rooted at or above dir) and applies every analyzer,
-// returning the suppression-filtered findings sorted by position.
-// Findings include any malformed //lint:allow directives
-// (suppressing requires stating a reason).
+// the module rooted at or above dir) and applies every analyzer.
 func Run(dir string, patterns []string, analyzers []*Analyzer) ([]Finding, error) {
 	pkgs, err := LoadPatterns(dir, patterns...)
 	if err != nil {
 		return nil, err
 	}
+	return Findings(pkgs, analyzers...)
+}
+
+// Findings applies the analyzers to already-loaded packages, which
+// form the pass's Program, and returns the findings that survive each
+// package's //lint:allow directives, sorted by position. Findings
+// include any malformed //lint:allow directives (suppressing requires
+// stating a reason).
+func Findings(pkgs []*Package, analyzers ...*Analyzer) ([]Finding, error) {
 	var out []Finding
 	for _, pkg := range pkgs {
-		fs, err := runOn(pkg, analyzers)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, fs...)
-	}
-	sortFindings(out)
-	return out, nil
-}
-
-// Findings applies the analyzers to one already-loaded package,
-// filtered through its //lint:allow directives — the analysistest
-// entry point.
-func Findings(pkg *Package, analyzers ...*Analyzer) ([]Finding, error) {
-	out, err := runOn(pkg, analyzers)
-	if err != nil {
-		return nil, err
-	}
-	sortFindings(out)
-	return out, nil
-}
-
-// runOn applies the analyzers to one package and filters the results
-// through the package's //lint:allow directives.
-func runOn(pkg *Package, analyzers []*Analyzer) ([]Finding, error) {
-	allows, bad := collectAllows(pkg)
-	var out []Finding
-	out = append(out, bad...)
-	for _, a := range analyzers {
-		diags, err := RunPackage(a, pkg)
-		if err != nil {
-			return nil, err
-		}
-		for _, d := range diags {
-			pos := pkg.Fset.Position(d.Pos)
-			if allows.covers(a.Name, pos) {
-				continue
+		allows, bad := collectAllows(pkg)
+		out = append(out, bad...)
+		for _, a := range analyzers {
+			pass := &Pass{
+				Analyzer:  a,
+				Fset:      pkg.Fset,
+				Files:     pkg.Files,
+				Pkg:       pkg.Types,
+				TypesInfo: pkg.Info,
+				Program:   pkgs,
 			}
-			out = append(out, Finding{Pos: pos, Analyzer: a.Name, Message: d.Message})
+			if err := a.Run(pass); err != nil {
+				return nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.PkgPath, err)
+			}
+			for _, d := range pass.diags {
+				pos := pkg.Fset.Position(d.Pos)
+				if !allows.covers(a.Name, pos) {
+					out = append(out, Finding{Pos: pos, Analyzer: a.Name, Message: d.Message})
+				}
+			}
 		}
 	}
+	sortFindings(out)
 	return out, nil
 }

@@ -1,4 +1,4 @@
-// Package analysistest runs one analyzer over a testdata package and
+// Package analysistest runs one analyzer over testdata packages and
 // checks its diagnostics against // want comments, in the style of
 // golang.org/x/tools/go/analysis/analysistest but built on the
 // repository's own stdlib-only framework.
@@ -40,28 +40,36 @@ type expectation struct {
 	matched bool
 }
 
-// Run loads testdata/src/<rel> as a package whose import path is
-// <rel>, applies the analyzer (with //lint:allow suppression), and
-// reports any mismatch between diagnostics and // want comments as
-// test errors.
-func Run(t *testing.T, a *analysis.Analyzer, rel string) {
+// Run loads each testdata/src/<rel> as a package whose import path is
+// <rel>, applies the analyzer to them as one program (with
+// //lint:allow suppression), and reports any mismatch between
+// diagnostics and // want comments as test errors. A package may
+// import the ones listed before it.
+//
+//lint:allow deadexports a test harness: the analyzers' tests are its only callers
+func Run(t *testing.T, a *analysis.Analyzer, rels ...string) {
 	t.Helper()
 	root, err := analysis.ModuleRoot(".")
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := filepath.Join("testdata", "src", filepath.FromSlash(rel))
-	pkg, err := analysis.LoadDir(root, dir, rel)
-	if err != nil {
-		t.Fatalf("loading %s: %v", dir, err)
+	var pkgs []*analysis.Package
+	var wants []*expectation
+	for _, rel := range rels {
+		dir := filepath.Join("testdata", "src", filepath.FromSlash(rel))
+		pkg, err := analysis.LoadDir(root, dir, rel, pkgs...)
+		if err != nil {
+			t.Fatalf("loading %s: %v", dir, err)
+		}
+		pkgs = append(pkgs, pkg)
+		w, err := collectWants(pkg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wants = append(wants, w...)
 	}
 
-	findings, err := analysis.Findings(pkg, a)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	wants, err := collectWants(pkg)
+	findings, err := analysis.Findings(pkgs, a)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,3 +49,9 @@ func TestSnapshotAccounting(t *testing.T) {
 func TestSnapshotAccountingCrossPackage(t *testing.T) {
 	analysistest.Run(t, analysis.SnapshotAccounting, "acctuser")
 }
+
+// deadexports needs the whole program: lib's exports are cleared by
+// user's references, and user comes second so it can import lib.
+func TestDeadExports(t *testing.T) {
+	analysistest.Run(t, analysis.DeadExports, "deadexports/internal/lib", "deadexports/user")
+}

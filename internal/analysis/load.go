@@ -93,13 +93,15 @@ func goList(dir string, patterns ...string) ([]*listedPkg, error) {
 	return pkgs, nil
 }
 
-// lookupImporter resolves imports from the shared export-data index
-// via the gc importer, special-casing "unsafe".
+// lookupImporter resolves imports from already type-checked local
+// packages first, then from the shared export-data index via the gc
+// importer, special-casing "unsafe".
 type lookupImporter struct {
-	gc types.Importer
+	local map[string]*types.Package
+	gc    types.Importer
 }
 
-func newImporter(fset *token.FileSet) types.Importer {
+func newImporter(fset *token.FileSet, local map[string]*types.Package) types.Importer {
 	lookup := func(path string) (io.ReadCloser, error) {
 		exports.mu.Lock()
 		f, ok := exports.files[path]
@@ -109,18 +111,21 @@ func newImporter(fset *token.FileSet) types.Importer {
 		}
 		return os.Open(f)
 	}
-	return &lookupImporter{gc: importer.ForCompiler(fset, "gc", lookup)}
+	return &lookupImporter{local: local, gc: importer.ForCompiler(fset, "gc", lookup)}
 }
 
 func (li *lookupImporter) Import(path string) (*types.Package, error) {
 	if path == "unsafe" {
 		return types.Unsafe, nil
 	}
+	if p := li.local[path]; p != nil {
+		return p, nil
+	}
 	return li.gc.Import(path)
 }
 
 // typeCheck parses and type-checks one package from its source files.
-func typeCheck(fset *token.FileSet, pkgPath, name, dir string, files []string) (*Package, error) {
+func typeCheck(fset *token.FileSet, pkgPath, name, dir string, files []string, local map[string]*types.Package) (*Package, error) {
 	var syntax []*ast.File
 	for _, f := range files {
 		path := f
@@ -144,7 +149,7 @@ func typeCheck(fset *token.FileSet, pkgPath, name, dir string, files []string) (
 	}
 	var typeErr error
 	conf := types.Config{
-		Importer: newImporter(fset),
+		Importer: newImporter(fset, local),
 		Error: func(err error) {
 			if typeErr == nil {
 				typeErr = err
@@ -187,7 +192,7 @@ func LoadPatterns(dir string, patterns ...string) ([]*Package, error) {
 		if len(p.GoFiles) == 0 {
 			continue
 		}
-		pkg, err := typeCheck(fset, p.ImportPath, p.Name, p.Dir, p.GoFiles)
+		pkg, err := typeCheck(fset, p.ImportPath, p.Name, p.Dir, p.GoFiles, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -202,8 +207,9 @@ func LoadPatterns(dir string, patterns ...string) ([]*Package, error) {
 // module packages) through moduleDir's build context. It is the
 // analysistest loader: testdata packages live outside the module's
 // package graph but still type-check against the real repository
-// packages they import.
-func LoadDir(moduleDir, dir, pkgPath string) (*Package, error) {
+// packages they import. An import naming one of deps resolves to that
+// already-loaded package, so testdata packages can import each other.
+func LoadDir(moduleDir, dir, pkgPath string, deps ...*Package) (*Package, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
@@ -222,6 +228,10 @@ func LoadDir(moduleDir, dir, pkgPath string) (*Package, error) {
 	// Resolve the testdata package's imports: parse import clauses
 	// only, then let `go list -export` compile whatever is not in the
 	// shared index yet.
+	local := map[string]*types.Package{}
+	for _, d := range deps {
+		local[d.PkgPath] = d.Types
+	}
 	fset := token.NewFileSet()
 	need := map[string]bool{}
 	name := ""
@@ -236,7 +246,7 @@ func LoadDir(moduleDir, dir, pkgPath string) (*Package, error) {
 			if err != nil {
 				return nil, err
 			}
-			if p != "unsafe" {
+			if p != "unsafe" && local[p] == nil {
 				need[p] = true
 			}
 		}
@@ -255,7 +265,7 @@ func LoadDir(moduleDir, dir, pkgPath string) (*Package, error) {
 			return nil, err
 		}
 	}
-	return typeCheck(token.NewFileSet(), pkgPath, name, dir, files)
+	return typeCheck(token.NewFileSet(), pkgPath, name, dir, files, local)
 }
 
 // ModuleRoot walks up from dir to the enclosing go.mod directory.

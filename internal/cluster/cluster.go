@@ -233,13 +233,6 @@ func (iv Interference) validate() error {
 	return nil
 }
 
-// SlowFraction returns the long-run fraction of time a server spends
-// slowed: Rate*MeanDuration / (1 + Rate*MeanDuration).
-func (iv Interference) SlowFraction() float64 {
-	x := iv.Rate * iv.MeanDuration
-	return x / (1 + x)
-}
-
 func (c Config) validate() error {
 	if c.Queries <= 0 {
 		return fmt.Errorf("cluster: Queries=%d must be positive", c.Queries)
@@ -390,6 +383,8 @@ func New(cfg Config) (*Cluster, error) {
 }
 
 // Config returns the cluster's configuration.
+//
+//lint:allow deadexports the workload package's tests check option plumbing through the built configuration
 func (c *Cluster) Config() Config { return c.cfg }
 
 // AdoptState transfers prev's pooled simulation state — event slab,

@@ -128,10 +128,6 @@ func NewGraphLeaf(path string, cfg Config) (*GraphLeaf, error) {
 	return &GraphLeaf{path: path, cluster: c, mask: mask, total: cfg.Queries}, nil
 }
 
-// Cluster exposes the leaf's underlying cluster (engine warming via
-// AdoptState, configuration inspection).
-func (l *GraphLeaf) Cluster() *Cluster { return l.cluster }
-
 func (l *GraphLeaf) runAll(polFor func(string) reissue.Policy) []float64 {
 	l.last = l.cluster.RunDetailed(polFor(l.path))
 	rts := l.last.Log.ResponseTimes()
@@ -382,13 +378,6 @@ type GraphResult struct {
 	// dispatched queries that sent a store sub-query — the statistic
 	// the tier's delay knob controls.
 	TierRates map[string]float64
-}
-
-// TailLatency returns the k-th quantile (k in (0,1)) of the
-// end-to-end response times, with the same nearest-rank formula as
-// the single-fleet RunResult.
-func (r *GraphResult) TailLatency(k float64) float64 {
-	return reissue.RunResult{Query: r.Query}.TailLatency(k)
 }
 
 // Run replays the graph once: polFor supplies each leaf's

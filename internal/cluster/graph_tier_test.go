@@ -196,7 +196,8 @@ func TestTieredProactiveHedgeTrimsMissTail(t *testing.T) {
 		t.Fatalf("all-miss workload did not dispatch every store sub-query: %.4f / %.4f",
 			proactive.TierRates[""], fallthru.TierRates[""])
 	}
-	pf, pp := fallthru.TailLatency(0.99), proactive.TailLatency(0.99)
+	pf := reissue.RunResult{Query: fallthru.Query}.TailLatency(0.99)
+	pp := reissue.RunResult{Query: proactive.Query}.TailLatency(0.99)
 	if pp >= pf {
 		t.Errorf("proactive P99 %.3f not below fall-through %.3f on the all-miss workload", pp, pf)
 	}

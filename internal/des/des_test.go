@@ -48,7 +48,7 @@ func TestAfterRelative(t *testing.T) {
 	s := New()
 	var at float64
 	s.At(10, func(now float64) {
-		s.After(5, func(now2 float64) { at = now2 })
+		s.AfterArg(5, func(now2 float64, _ int, _ float64) { at = now2 }, 0, 0)
 	})
 	s.Run()
 	if at != 15 {
@@ -61,7 +61,7 @@ func TestCancel(t *testing.T) {
 	fired := false
 	h := s.At(1, func(float64) { fired = true })
 	h.Cancel()
-	if !h.Cancelled() {
+	if !cancelled(h) {
 		t.Fatal("handle not marked cancelled")
 	}
 	s.Run()
@@ -111,18 +111,6 @@ func TestRunUntilAdvancesIdleClock(t *testing.T) {
 	}
 }
 
-func TestRunWhile(t *testing.T) {
-	s := New()
-	count := 0
-	for i := 1; i <= 100; i++ {
-		s.At(float64(i), func(float64) { count++ })
-	}
-	s.RunWhile(func() bool { return count < 10 })
-	if count != 10 {
-		t.Fatalf("RunWhile stopped at %d", count)
-	}
-}
-
 func TestSchedulePastPanics(t *testing.T) {
 	s := New()
 	s.At(10, func(float64) {})
@@ -142,7 +130,7 @@ func TestNegativeDelayPanics(t *testing.T) {
 			t.Fatal("negative delay did not panic")
 		}
 	}()
-	s.After(-1, func(float64) {})
+	s.AfterArg(-1, func(float64, int, float64) {}, 0, 0)
 }
 
 func TestCascadingEvents(t *testing.T) {
@@ -154,7 +142,7 @@ func TestCascadingEvents(t *testing.T) {
 	arrive = func(now float64) {
 		count++
 		if count < n {
-			s.After(1, arrive)
+			s.At(now+1, arrive)
 		}
 	}
 	s.At(0, arrive)

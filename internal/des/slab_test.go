@@ -6,6 +6,17 @@ import (
 	"repro/internal/stats"
 )
 
+// cancelled reports whether h's event was cancelled and its record
+// not yet reclaimed: once the engine drops the record, the handle's
+// generation no longer matches and it reads false again.
+func cancelled(h Handle) bool {
+	if h.s == nil {
+		return false
+	}
+	sl := &h.s.slab[h.slot]
+	return sl.gen == h.gen && sl.dead
+}
+
 // Cancelling a handle after its event fired must be a no-op even when
 // the slot has been recycled for a different event: the generation
 // check keeps the stale handle from killing the new tenant.
@@ -13,7 +24,7 @@ func TestCancelAfterFireIsNoOp(t *testing.T) {
 	s := New()
 	h1 := s.At(1, func(float64) {})
 	s.Run()
-	if h1.Cancelled() {
+	if cancelled(h1) {
 		t.Fatal("fired event reports cancelled")
 	}
 	// The freed slot is reused for the next event.
@@ -23,7 +34,7 @@ func TestCancelAfterFireIsNoOp(t *testing.T) {
 		t.Fatalf("slot not recycled: first %d, second %d", h1.slot, h2.slot)
 	}
 	h1.Cancel() // stale generation: must not touch the new event
-	if h2.Cancelled() {
+	if cancelled(h2) {
 		t.Fatal("stale Cancel leaked onto the recycled slot")
 	}
 	s.Run()
@@ -38,11 +49,11 @@ func TestGenerationGuardsRecycledCancelledSlot(t *testing.T) {
 	s := New()
 	h1 := s.At(1, func(float64) { t.Fatal("cancelled event fired") })
 	h1.Cancel()
-	if !h1.Cancelled() {
+	if !cancelled(h1) {
 		t.Fatal("not cancelled before reclamation")
 	}
 	s.Run() // reclaims the dead record
-	if h1.Cancelled() {
+	if cancelled(h1) {
 		t.Fatal("handle still reports cancelled after slot reclamation")
 	}
 	fired := false
@@ -196,9 +207,9 @@ func TestRecycleDuringRun(t *testing.T) {
 	spawn = func(now float64) {
 		count++
 		if count < 1000 {
-			h := s.After(r.Float64(), func(float64) { t.Fatal("cancelled child fired") })
+			h := s.At(s.Now()+r.Float64(), func(float64) { t.Fatal("cancelled child fired") })
 			h.Cancel()
-			s.After(r.Float64(), spawn)
+			s.At(s.Now()+r.Float64(), spawn)
 		}
 	}
 	s.At(0, spawn)

@@ -301,10 +301,11 @@ func TestFigure6(t *testing.T) {
 }
 
 func TestFigure9(t *testing.T) {
-	tab, err := Figure9()
+	ts, err := runJobTables(Scale{}, Figure9Job())
 	if err != nil {
 		t.Fatal(err)
 	}
+	tab := ts[0]
 	checkTable(t, tab, 13)
 	var redisTotal, luceneTotal float64
 	for _, row := range tab.Rows {

@@ -10,7 +10,11 @@ import (
 // figure7aBudgets is the small-budget sweep of Figure 7a.
 var figure7aBudgets = []float64{0.01, 0.02, 0.03, 0.04, 0.05, 0.06}
 
-// Figure7aJob decomposes Figure 7a for one system workload: a
+// Figure7aJob reproduces the paper's Figure 7a for one system
+// workload: P99 latency of SingleR vs SingleD across small reissue
+// rates (0-6%) at 40% utilization — the paper's headline system
+// result, SingleR dominating SingleD at small budgets because
+// randomization lets it reissue earlier. It decomposes into a
 // baseline point plus one point per budget, each tuning SingleR and
 // SingleD on its own rebuilt system cluster.
 func Figure7aJob(kind SystemKind, sc Scale) *Job {
@@ -74,19 +78,6 @@ func Figure7aJob(kind SystemKind, sc Scale) *Job {
 	return j
 }
 
-// Figure7a reproduces the paper's Figure 7a for one system workload:
-// P99 latency of SingleR vs SingleD across small reissue rates
-// (0-6%) at 40% utilization. The paper's headline system result —
-// SingleR strictly dominates SingleD at small budgets because
-// randomization lets it reissue earlier.
-func Figure7a(kind SystemKind, sc Scale) (*Table, error) {
-	ts, err := runJobTables(sc, Figure7aJob(kind, sc))
-	if err != nil {
-		return nil, err
-	}
-	return ts[0], nil
-}
-
 // Figure7bRates returns the reissue-rate sweep the paper uses for
 // each system in Figure 7b (Redis sweeps to 50%, Lucene to 8%).
 func Figure7bRates(kind SystemKind) []float64 {
@@ -99,9 +90,11 @@ func Figure7bRates(kind SystemKind) []float64 {
 // figure7bUtils is the utilization sweep of Figure 7b.
 var figure7bUtils = []float64{0.20, 0.40, 0.60}
 
-// Figure7bJob decomposes Figure 7b for one system workload into a
-// baseline point per utilization plus one point per (utilization,
-// rate) cell.
+// Figure7bJob reproduces the paper's Figure 7b for one system
+// workload: P99 latency of SingleR across reissue rates at 20%, 40%
+// and 60% utilization; rate-0 rows carry the no-reissue baselines. It
+// decomposes into a baseline point per utilization plus one point per
+// (utilization, rate) cell.
 func Figure7bJob(kind SystemKind, sc Scale) *Job {
 	sc = sc.withDefaults()
 	const k = 0.99
@@ -160,22 +153,14 @@ func Figure7bJob(kind SystemKind, sc Scale) *Job {
 	return j
 }
 
-// Figure7b reproduces the paper's Figure 7b for one system workload:
-// P99 latency of SingleR across reissue rates at 20%, 40%, and 60%
-// utilization. Rate 0 rows carry the no-reissue baselines.
-func Figure7b(kind SystemKind, sc Scale) (*Table, error) {
-	ts, err := runJobTables(sc, Figure7bJob(kind, sc))
-	if err != nil {
-		return nil, err
-	}
-	return ts[0], nil
-}
-
 // figure7cUtils is the utilization sweep of Figure 7c.
 var figure7cUtils = []float64{0.20, 0.30, 0.40, 0.50, 0.60}
 
-// Figure7cJob decomposes Figure 7c for one system workload: per
-// utilization, one baseline point and one budget-search point.
+// Figure7cJob reproduces the paper's Figure 7c for one system
+// workload: the P99 achieved with the best reissue budget (found by
+// the budget binary search of Section 4.4) against the no-reissue
+// baseline, for utilizations from 20% to 60%. Per utilization it has
+// one baseline point and one budget-search point.
 func Figure7cJob(kind SystemKind, sc Scale) *Job {
 	sc = sc.withDefaults()
 	const k = 0.99
@@ -232,16 +217,4 @@ func Figure7cJob(kind SystemKind, sc Scale) *Job {
 		return []*Table{t}, nil
 	}
 	return j
-}
-
-// Figure7c reproduces the paper's Figure 7c for one system workload:
-// the P99 achieved with the best reissue budget (found by the budget
-// binary search of Section 4.4) against the no-reissue baseline, for
-// utilizations from 20% to 60%.
-func Figure7c(kind SystemKind, sc Scale) (*Table, error) {
-	ts, err := runJobTables(sc, Figure7cJob(kind, sc))
-	if err != nil {
-		return nil, err
-	}
-	return ts[0], nil
 }

@@ -7,9 +7,12 @@ import (
 	"repro/internal/sweep"
 )
 
-// Figure9Job decomposes Figure 9 into two points that generate the
-// Redis and Lucene workloads (warming the package caches) in
-// parallel; the merge bins the cached service times.
+// Figure9Job reproduces the paper's Figure 9: the service-time
+// histograms of the Redis set-intersection and Lucene search
+// workloads in 20 ms bins (the paper plots counts on a log scale; the
+// table reports raw counts per bin). Two points generate the
+// workloads (warming the package caches) in parallel; the merge bins
+// the cached service times.
 func Figure9Job() *Job {
 	var redis, lucene []float64
 	j := &Job{Name: "figure9"}
@@ -58,16 +61,4 @@ func Figure9Job() *Job {
 		return []*Table{t}, nil
 	}
 	return j
-}
-
-// Figure9 reproduces the paper's Figure 9: the service-time
-// histograms of the Redis set-intersection and Lucene search
-// workloads, discretized into 20 ms bins (the paper plots counts on a
-// log scale; the table reports raw counts per bin).
-func Figure9() (*Table, error) {
-	ts, err := runJobTables(Scale{}, Figure9Job())
-	if err != nil {
-		return nil, err
-	}
-	return ts[0], nil
 }

@@ -42,10 +42,11 @@ func TestSystemKindString(t *testing.T) {
 }
 
 func TestFigure7aRedisShape(t *testing.T) {
-	tab, err := Figure7a(Redis, TestScale())
+	ts, err := runJobTables(TestScale(), Figure7aJob(Redis, TestScale()))
 	if err != nil {
 		t.Fatal(err)
 	}
+	tab := ts[0]
 	checkTable(t, tab, 6)
 	// SingleR at budget >= 2% must beat the no-reissue baseline
 	// recorded in the notes; extract baseline from a fresh run
@@ -58,10 +59,11 @@ func TestFigure7aRedisShape(t *testing.T) {
 }
 
 func TestFigure7bLuceneShape(t *testing.T) {
-	tab, err := Figure7b(Lucene, TestScale())
+	ts, err := runJobTables(TestScale(), Figure7bJob(Lucene, TestScale()))
 	if err != nil {
 		t.Fatal(err)
 	}
+	tab := ts[0]
 	checkTable(t, tab, len(Figure7bRates(Lucene))+1)
 	base := tab.Rows[0]
 	// Higher utilization means higher baseline P99.

@@ -114,9 +114,6 @@ func Generate(cfg Config) (*Workload, error) {
 	return w, nil
 }
 
-// Config returns the workload's (defaulted) configuration.
-func (w *Workload) Config() Config { return w.cfg }
-
 // BatchConfig returns the sched batching parameters for batches of
 // size B held open lingerMS model milliseconds, using the workload's
 // cost model. B = 1 degenerates to solo FIFO timing.

@@ -48,7 +48,7 @@ func TestTimesMatchPhases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := w.Config()
+	cfg := w.cfg
 	for i, tm := range w.Times {
 		want := float64(w.Prompt[i])*cfg.PrefillMSPerTok + float64(w.Decode[i])*cfg.DecodeMSPerTok
 		if tm != want {

@@ -101,30 +101,3 @@ func (w *Workload) CacheView(cfg CacheConfig) (*CacheWorkload, error) {
 func (cw *CacheWorkload) Lookup(i int) (Set, bool) {
 	return cw.results[i], cw.Hits[i]
 }
-
-// MeasuredHitRate returns the realized hit fraction of the Bernoulli
-// stream over queries [from, to) — the denominator-matched statistic
-// for comparing against a measured live run.
-func (cw *CacheWorkload) MeasuredHitRate(from, to int) float64 {
-	if from < 0 || to > len(cw.Hits) || from >= to {
-		return 0
-	}
-	hits := 0
-	for i := from; i < to; i++ {
-		if cw.Hits[i] {
-			hits++
-		}
-	}
-	return float64(hits) / float64(to-from)
-}
-
-// MeanServiceMS returns the mean cache-tier model service time — the
-// quantity that converts a target cache-tier utilization into an
-// arrival rate.
-func (cw *CacheWorkload) MeanServiceMS() float64 {
-	var sum float64
-	for _, t := range cw.Times {
-		sum += t
-	}
-	return sum / float64(len(cw.Times))
-}

@@ -34,34 +34,11 @@ type Store struct {
 // NewStore returns an empty store.
 func NewStore() *Store { return &Store{sets: make(map[string]Set)} }
 
-// SAdd inserts members into the set at key, creating it if absent,
-// and returns the number of members actually added (duplicates are
-// ignored, as in Redis).
-func (s *Store) SAdd(key string, members ...int32) int {
-	set := s.sets[key]
-	added := 0
-	for _, m := range members {
-		i := sort.Search(len(set), func(i int) bool { return set[i] >= m })
-		if i < len(set) && set[i] == m {
-			continue
-		}
-		set = append(set, 0)
-		copy(set[i+1:], set[i:])
-		set[i] = m
-		added++
-	}
-	s.sets[key] = set
-	return added
-}
-
 // setSorted installs a pre-sorted, deduplicated slice directly —
 // the bulk-load path used by the workload generator.
 func (s *Store) setSorted(key string, members Set) {
 	s.sets[key] = members
 }
-
-// SCard returns the cardinality of the set at key (0 if absent).
-func (s *Store) SCard(key string) int { return len(s.sets[key]) }
 
 // Keys returns all set names in sorted order.
 func (s *Store) Keys() []string {
@@ -343,22 +320,6 @@ func randomSubset(r *stats.RNG, valueRange int32, card int, scratch []uint64) Se
 			word &= word - 1
 		}
 		scratch[i] = 0
-	}
-	return out
-}
-
-// ServiceStats summarizes the workload's service-time distribution —
-// the quantity reported in the paper's Figure 9 discussion.
-func (w *Workload) ServiceStats() stats.Summary { return stats.Summarize(w.Times) }
-
-// SlowQueries returns the indices of queries with service time above
-// the threshold — the "queries of death".
-func (w *Workload) SlowQueries(thresholdMS float64) []int {
-	var out []int
-	for i, t := range w.Times {
-		if t > thresholdMS {
-			out = append(out, i)
-		}
 	}
 	return out
 }

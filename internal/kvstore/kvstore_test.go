@@ -3,38 +3,16 @@ package kvstore
 import (
 	"math"
 	"slices"
-	"sort"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/stats"
 )
 
-func TestSAddAndSCard(t *testing.T) {
-	s := NewStore()
-	if got := s.SAdd("a", 3, 1, 2); got != 3 {
-		t.Fatalf("SAdd added %d", got)
-	}
-	if got := s.SAdd("a", 2, 4); got != 1 {
-		t.Fatalf("duplicate SAdd added %d", got)
-	}
-	if got := s.SCard("a"); got != 4 {
-		t.Fatalf("SCard = %d", got)
-	}
-	if got := s.SCard("missing"); got != 0 {
-		t.Fatalf("missing SCard = %d", got)
-	}
-	// Members must be kept sorted.
-	set := s.sets["a"]
-	if !sort.SliceIsSorted(set, func(i, j int) bool { return set[i] < set[j] }) {
-		t.Fatalf("set not sorted: %v", set)
-	}
-}
-
 func TestSInterBasic(t *testing.T) {
 	s := NewStore()
-	s.SAdd("a", 1, 2, 3, 5, 8)
-	s.SAdd("b", 2, 3, 4, 8, 9)
+	s.setSorted("a", Set{1, 2, 3, 5, 8})
+	s.setSorted("b", Set{2, 3, 4, 8, 9})
 	got, work := s.SInter("a", "b")
 	want := Set{2, 3, 8}
 	if len(got) != len(want) {
@@ -52,7 +30,7 @@ func TestSInterBasic(t *testing.T) {
 
 func TestSInterMissingAndEmpty(t *testing.T) {
 	s := NewStore()
-	s.SAdd("a", 1, 2)
+	s.setSorted("a", Set{1, 2})
 	if got, _ := s.SInter("a", "missing"); len(got) != 0 {
 		t.Fatalf("missing intersect = %v", got)
 	}
@@ -66,8 +44,8 @@ func TestSInterMissingAndEmpty(t *testing.T) {
 
 func TestSInterCardMatchesSInter(t *testing.T) {
 	s := NewStore()
-	s.SAdd("a", 1, 3, 5, 7, 9, 11)
-	s.SAdd("b", 3, 4, 5, 6, 7)
+	s.setSorted("a", Set{1, 3, 5, 7, 9, 11})
+	s.setSorted("b", Set{3, 4, 5, 6, 7})
 	set, w1 := s.SInter("a", "b")
 	n, w2 := s.SInterCard("a", "b")
 	if n != len(set) {
@@ -80,9 +58,9 @@ func TestSInterCardMatchesSInter(t *testing.T) {
 
 func TestKeysSorted(t *testing.T) {
 	s := NewStore()
-	s.SAdd("b", 1)
-	s.SAdd("a", 1)
-	s.SAdd("c", 1)
+	s.setSorted("b", Set{1})
+	s.setSorted("a", Set{1})
+	s.setSorted("c", Set{1})
 	keys := s.Keys()
 	if len(keys) != 3 || keys[0] != "a" || keys[2] != "c" {
 		t.Fatalf("Keys = %v", keys)
@@ -204,7 +182,7 @@ func TestPaperScaleWorkloadShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := w.ServiceStats()
+	s := stats.Summarize(w.Times)
 	// The paper reports mean 2.366 ms, sd 8.64 ms, over 98% of
 	// queries below 10 ms at 20 ms granularity, and a handful of
 	// "queries of death" above 150 ms. Verify the same shape.
@@ -223,7 +201,12 @@ func TestPaperScaleWorkloadShape(t *testing.T) {
 	if frac := float64(under10) / float64(len(w.Times)); frac < 0.90 {
 		t.Errorf("only %v of queries under 10 ms", frac)
 	}
-	slow := w.SlowQueries(150)
+	var slow []int
+	for i, v := range w.Times {
+		if v > 150 {
+			slow = append(slow, i)
+		}
+	}
 	if len(slow) == 0 {
 		t.Error("no queries of death above 150 ms")
 	}
@@ -232,9 +215,8 @@ func TestPaperScaleWorkloadShape(t *testing.T) {
 	}
 	// Queries of death must trace back to abnormally large set pairs.
 	q := w.Queries[slow[0]]
-	if w.Store.SCard(q.A)+w.Store.SCard(q.B) < 100000 {
-		t.Errorf("slow query over small sets: %d + %d",
-			w.Store.SCard(q.A), w.Store.SCard(q.B))
+	if a, b := len(w.Store.sets[q.A]), len(w.Store.sets[q.B]); a+b < 100000 {
+		t.Errorf("slow query over small sets: %d + %d", a, b)
 	}
 }
 

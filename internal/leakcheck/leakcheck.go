@@ -29,6 +29,8 @@ const quiet = 30 * time.Millisecond
 // moment. Goroutines that earlier work left on their way out would
 // otherwise sit in the baseline, and once they exit, as many leaked
 // goroutines would pass the check unseen.
+//
+//lint:allow deadexports a test helper: the live-runtime test suites are its only callers
 func Start() Baseline {
 	deadline := time.Now().Add(settle)
 	n, still := runtime.NumGoroutine(), time.Now()
@@ -43,6 +45,8 @@ func Start() Baseline {
 
 // Check fails t unless, within a short settling window, the goroutine
 // count drops back to at most b+Slack.
+//
+//lint:allow deadexports a test helper: the live-runtime test suites are its only callers
 func (b Baseline) Check(t testing.TB) {
 	t.Helper()
 	deadline := time.Now().Add(settle)

@@ -89,14 +89,6 @@ func RemediationRate(outcomes []QueryOutcome, t float64) float64 {
 	return float64(remediated) / float64(issued)
 }
 
-// ReissueRate returns reissues/queries.
-func ReissueRate(queries, reissues int) float64 {
-	if queries == 0 {
-		return 0
-	}
-	return float64(reissues) / float64(queries)
-}
-
 // AgreementBand is the sim-vs-live rate agreement band: the largest
 // |live - sim| difference between the rates (reissue, failure, tier
 // dispatch) a live runtime and its simulator twin measure for the

@@ -80,15 +80,6 @@ func TestRemediationRate(t *testing.T) {
 	}
 }
 
-func TestReissueRate(t *testing.T) {
-	if got := ReissueRate(1000, 40); got != 0.04 {
-		t.Fatalf("rate = %v", got)
-	}
-	if got := ReissueRate(0, 5); got != 0 {
-		t.Fatalf("zero-query rate = %v", got)
-	}
-}
-
 func TestInverseCDFSeries(t *testing.T) {
 	xs := make([]float64, 100)
 	for i := range xs {

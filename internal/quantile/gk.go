@@ -132,9 +132,6 @@ func (s *GK) Quantile(p float64) float64 {
 	return s.tuples[len(s.tuples)-1].v
 }
 
-// Percentile is shorthand for Quantile(k/100).
-func (s *GK) Percentile(k float64) float64 { return s.Quantile(k / 100) }
-
 // Reset empties the sketch, keeping its epsilon.
 func (s *GK) Reset() {
 	s.tuples = s.tuples[:0]
@@ -189,14 +186,4 @@ func (w *Windowed) Quantile(p float64) float64 {
 		fc := float64(w.cur.N()) / float64(w.cur.N()+w.prev.N())
 		return fc*qc + (1-fc)*qp
 	}
-}
-
-// N returns the number of observations covered by the current
-// estimate (both panes).
-func (w *Windowed) N() int {
-	n := w.cur.N()
-	if w.prev != nil {
-		n += w.prev.N()
-	}
-	return n
 }

@@ -215,7 +215,7 @@ func TestWindowedEmpty(t *testing.T) {
 	if !math.IsNaN(w.Quantile(0.5)) {
 		t.Fatal("empty windowed quantile not NaN")
 	}
-	if w.N() != 0 {
+	if w.cur.N() != 0 || w.prev != nil {
 		t.Fatal("empty N != 0")
 	}
 }

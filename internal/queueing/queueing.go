@@ -21,6 +21,8 @@ type MM1 struct {
 
 // NewMM1 validates the parameters; the queue must be stable
 // (Lambda < Mu).
+//
+//lint:allow deadexports the M/M/1 oracle the simulator's theory-validation test checks against
 func NewMM1(lambda, mu float64) (MM1, error) {
 	if lambda <= 0 || mu <= 0 {
 		return MM1{}, fmt.Errorf("queueing: rates must be positive (lambda=%v, mu=%v)", lambda, mu)
@@ -36,16 +38,24 @@ func (q MM1) Rho() float64 { return q.Lambda / q.Mu }
 
 // MeanWait returns the expected time in queue (excluding service):
 // W_q = rho / (mu - lambda).
+//
+//lint:allow deadexports M/M/1 oracle value for the theory-validation test
 func (q MM1) MeanWait() float64 { return q.Rho() / (q.Mu - q.Lambda) }
 
 // MeanResponse returns the expected sojourn time W = 1/(mu - lambda).
+//
+//lint:allow deadexports M/M/1 oracle value for the theory-validation test
 func (q MM1) MeanResponse() float64 { return 1 / (q.Mu - q.Lambda) }
 
 // MeanNumber returns the expected number in system L = rho/(1-rho).
+//
+//lint:allow deadexports M/M/1 oracle value for the theory-validation test
 func (q MM1) MeanNumber() float64 { return q.Rho() / (1 - q.Rho()) }
 
 // ResponseQuantile returns the p-th quantile of the sojourn time,
 // which is exponential with rate mu - lambda.
+//
+//lint:allow deadexports M/M/1 oracle value for the theory-validation test
 func (q MM1) ResponseQuantile(p float64) float64 {
 	if p < 0 || p >= 1 {
 		panic(fmt.Sprintf("queueing: quantile %v outside [0, 1)", p))
@@ -62,6 +72,8 @@ type MMC struct {
 
 // NewMMC validates the parameters; the system must be stable
 // (Lambda < C*Mu).
+//
+//lint:allow deadexports the M/M/c oracle the simulator's theory-validation test checks against
 func NewMMC(lambda, mu float64, c int) (MMC, error) {
 	if lambda <= 0 || mu <= 0 || c <= 0 {
 		return MMC{}, fmt.Errorf("queueing: invalid M/M/c (lambda=%v, mu=%v, c=%d)", lambda, mu, c)
@@ -95,11 +107,15 @@ func (q MMC) MeanWait() float64 {
 }
 
 // MeanResponse returns the expected sojourn time W_q + 1/mu.
+//
+//lint:allow deadexports M/M/c oracle value for the theory-validation test
 func (q MMC) MeanResponse() float64 { return q.MeanWait() + 1/q.Mu }
 
 // WaitQuantile returns the p-th quantile of the queueing delay. The
 // wait is 0 with probability 1-ErlangC and exponential with rate
 // c*mu - lambda otherwise.
+//
+//lint:allow deadexports M/M/c oracle value for the theory-validation test
 func (q MMC) WaitQuantile(p float64) float64 {
 	if p < 0 || p >= 1 {
 		panic(fmt.Sprintf("queueing: quantile %v outside [0, 1)", p))
@@ -122,6 +138,8 @@ type MG1 struct {
 
 // NewMG1 validates the parameters; requires stability and a
 // consistent second moment (E[S^2] >= E[S]^2).
+//
+//lint:allow deadexports the M/G/1 oracle the simulator's theory-validation test checks against
 func NewMG1(lambda, meanS, secondS float64) (MG1, error) {
 	if lambda <= 0 || meanS <= 0 {
 		return MG1{}, fmt.Errorf("queueing: invalid M/G/1 (lambda=%v, E[S]=%v)", lambda, meanS)
@@ -148,4 +166,6 @@ func (q MG1) MeanWait() float64 {
 func (q MG1) MeanResponse() float64 { return q.MeanWait() + q.MeanS }
 
 // MeanNumber returns L = lambda * W by Little's law.
+//
+//lint:allow deadexports M/G/1 oracle value for the theory-validation test
 func (q MG1) MeanNumber() float64 { return q.Lambda * q.MeanResponse() }

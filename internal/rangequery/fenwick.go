@@ -1,10 +1,11 @@
 // Package rangequery provides the search-structure substrate the
-// paper's optimizer relies on: a merge-sort tree for 2-D orthogonal
-// range counting (used to estimate the conditional distribution
-// Pr(Y <= t-d | X > t) in Section 4.2), a Fenwick tree for dynamic
-// prefix counting, and monotone "finger" cursors over sorted samples
-// that realize the amortized-O(1) DiscreteCDF evaluation the paper
-// attributes to finger search trees.
+// paper's optimizer relies on: the Point pairs of the response-time
+// log, a Fenwick tree for dynamic prefix counting (the correlated
+// optimizer's sweep keeps the pairs with X > t in one, indexed by Y
+// rank, to estimate Pr(Y <= t-d | X > t) of Section 4.2 in
+// O(log N) per query), and monotone "finger" cursors over sorted
+// samples that realize the amortized-O(1) DiscreteCDF evaluation the
+// paper attributes to finger search trees.
 package rangequery
 
 import "fmt"
@@ -46,16 +47,4 @@ func (f *Fenwick) PrefixSum(i int) int {
 		s += f.tree[i]
 	}
 	return s
-}
-
-// RangeSum returns the sum of slots [lo, hi] (inclusive); zero when
-// the range is empty.
-func (f *Fenwick) RangeSum(lo, hi int) int {
-	if lo > hi {
-		return 0
-	}
-	if lo < 0 {
-		lo = 0
-	}
-	return f.PrefixSum(hi) - f.PrefixSum(lo-1)
 }

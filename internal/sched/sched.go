@@ -251,9 +251,6 @@ func MustQueue[T any](cfg Config) *Queue[T] {
 	return q
 }
 
-// Config returns the queue's configuration.
-func (q *Queue[T]) Config() Config { return q.cfg }
-
 // Reset empties the queue for a fresh run, keeping capacity.
 func (q *Queue[T]) Reset() {
 	q.waiting = 0

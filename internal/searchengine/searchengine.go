@@ -35,16 +35,7 @@ type Index struct {
 	numDocs  int
 	numTerms int
 	totalLen int64 // total token count, for stats
-	// positions, when present, maps term -> doc -> sorted token
-	// positions, enabling phrase queries (see phrase.go).
-	positions []map[int32][]uint16
 }
-
-// NumDocs returns the corpus size.
-func (ix *Index) NumDocs() int { return ix.numDocs }
-
-// NumTerms returns the vocabulary size.
-func (ix *Index) NumTerms() int { return ix.numTerms }
 
 // DocFreq returns the number of documents containing term t.
 func (ix *Index) DocFreq(t int) int {
@@ -125,12 +116,14 @@ func (z *zipf) Sample(r *stats.RNG) int {
 	return sort.SearchFloat64s(z.cum, u)
 }
 
-// BuildIndex synthesizes a corpus and builds its inverted index
-// (without positions; use GeneratePhraseWorkload or a Builder for
-// phrase support).
+// BuildIndex synthesizes a corpus and builds its inverted index.
 func BuildIndex(cfg CorpusConfig) *Index {
-	ix, _ := buildCorpusWithDocs(cfg.withDefaults(), false)
-	return ix
+	cfg = cfg.withDefaults()
+	b := NewBuilder(cfg.VocabSize)
+	for _, tokens := range synthDocs(cfg) {
+		b.AddDocument(tokens)
+	}
+	return b.Build()
 }
 
 // synthDocs synthesizes the corpus documents alone — the token
@@ -156,18 +149,6 @@ func synthDocs(cfg CorpusConfig) [][]int {
 	return docs
 }
 
-// buildCorpusWithDocs synthesizes the corpus through a Builder,
-// optionally keeping positions, and returns the raw documents so
-// callers can sample real term windows (phrase workloads, tests).
-func buildCorpusWithDocs(cfg CorpusConfig, withPositions bool) (*Index, [][]int) {
-	docs := synthDocs(cfg)
-	b := NewBuilder(cfg.VocabSize, withPositions)
-	for _, tokens := range docs {
-		b.AddDocument(tokens)
-	}
-	return b.Build(), docs
-}
-
 // Query is a ranked boolean query.
 type Query struct {
 	// Terms are vocabulary term ids.
@@ -183,9 +164,6 @@ type Work struct {
 	Postings int
 	// Scored is the number of score accumulations.
 	Scored int
-	// Positions is the number of position-list entries examined
-	// (phrase queries only).
-	Positions int
 }
 
 // Hit is one scored result.
@@ -515,6 +493,3 @@ func sampleQueries(cfg WorkloadConfig) []Query {
 	}
 	return queries
 }
-
-// ServiceStats summarizes the workload's service-time distribution.
-func (w *Workload) ServiceStats() stats.Summary { return stats.Summarize(w.Times) }

@@ -19,11 +19,11 @@ func tinyIndex(t *testing.T) *Index {
 
 func TestBuildIndexInvariants(t *testing.T) {
 	ix := tinyIndex(t)
-	if ix.NumDocs() != 200 || ix.NumTerms() != 100 {
-		t.Fatalf("index dims: %d docs, %d terms", ix.NumDocs(), ix.NumTerms())
+	if ix.numDocs != 200 || ix.numTerms != 100 {
+		t.Fatalf("index dims: %d docs, %d terms", ix.numDocs, ix.numTerms)
 	}
 	totalDF := 0
-	for term := 0; term < ix.NumTerms(); term++ {
+	for term := 0; term < ix.numTerms; term++ {
 		ps := ix.postings[term]
 		if len(ps) != ix.DocFreq(term) {
 			t.Fatalf("term %d: df %d != postings %d", term, ix.DocFreq(term), len(ps))
@@ -35,7 +35,7 @@ func TestBuildIndexInvariants(t *testing.T) {
 			}
 		}
 		for _, p := range ps {
-			if p.Doc < 0 || int(p.Doc) >= ix.NumDocs() || p.TF == 0 {
+			if p.Doc < 0 || int(p.Doc) >= ix.numDocs || p.TF == 0 {
 				t.Fatalf("term %d bad posting %+v", term, p)
 			}
 		}
@@ -68,7 +68,7 @@ func TestIDF(t *testing.T) {
 func bruteSearch(ix *Index, q Query) map[int32]float64 {
 	perDoc := map[int32]map[int]uint16{}
 	for _, t := range q.Terms {
-		if t < 0 || t >= ix.NumTerms() {
+		if t < 0 || t >= ix.numTerms {
 			continue
 		}
 		for _, p := range ix.postings[t] {
@@ -251,7 +251,7 @@ func TestPaperScaleWorkloadShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := w.ServiceStats()
+	s := stats.Summarize(w.Times)
 	// Paper: mean 39.73 ms, sd 21.88 ms, ~90% of requests in
 	// [1, 70] ms, ~1% above 100 ms.
 	if s.Mean < 30 || s.Mean > 50 {

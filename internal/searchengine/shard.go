@@ -32,7 +32,7 @@ func GenerateShardedWorkload(cfg WorkloadConfig, shards int) ([]*Workload, error
 	docs := synthDocs(cfg.Corpus)
 	builders := make([]*Builder, shards)
 	for s := range builders {
-		builders[s] = NewBuilder(cfg.Corpus.VocabSize, false)
+		builders[s] = NewBuilder(cfg.Corpus.VocabSize)
 	}
 	for d, tokens := range docs {
 		builders[d%shards].AddDocument(tokens)

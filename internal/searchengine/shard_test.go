@@ -41,7 +41,7 @@ func TestShardedTraceMatchesUnsharded(t *testing.T) {
 	}
 	totalDocs := 0
 	for s, p := range parts {
-		totalDocs += p.Index.NumDocs()
+		totalDocs += p.Index.numDocs
 		if len(p.Queries) != len(full.Queries) || len(p.Times) != len(full.Queries) {
 			t.Fatalf("shard %d trace length mismatch", s)
 		}
@@ -52,8 +52,8 @@ func TestShardedTraceMatchesUnsharded(t *testing.T) {
 			}
 		}
 	}
-	if totalDocs != full.Index.NumDocs() {
-		t.Fatalf("shards hold %d docs, corpus has %d", totalDocs, full.Index.NumDocs())
+	if totalDocs != full.Index.numDocs {
+		t.Fatalf("shards hold %d docs, corpus has %d", totalDocs, full.Index.numDocs)
 	}
 }
 

@@ -160,92 +160,10 @@ func (e Exponential) String() string {
 	return fmt.Sprintf("Exponential(rate=%g)", e.Rate)
 }
 
-// Uniform is the continuous uniform distribution on [Lo, Hi).
-type Uniform struct {
-	Lo, Hi float64
-}
-
-// NewUniform returns a Uniform distribution, panicking if hi <= lo.
-func NewUniform(lo, hi float64) Uniform {
-	if hi <= lo {
-		panic(fmt.Sprintf("stats: invalid Uniform(%v, %v)", lo, hi))
-	}
-	return Uniform{Lo: lo, Hi: hi}
-}
-
-// Sample draws uniformly from [Lo, Hi).
-func (u Uniform) Sample(r *RNG) float64 { return u.Lo + (u.Hi-u.Lo)*r.Float64() }
-
-// Mean returns the midpoint.
-func (u Uniform) Mean() float64 { return (u.Lo + u.Hi) / 2 }
-
-// CDF returns the clamped linear CDF.
-func (u Uniform) CDF(x float64) float64 {
-	switch {
-	case x <= u.Lo:
-		return 0
-	case x >= u.Hi:
-		return 1
-	default:
-		return (x - u.Lo) / (u.Hi - u.Lo)
-	}
-}
-
-// Quantile returns Lo + p*(Hi-Lo).
-func (u Uniform) Quantile(p float64) float64 {
-	checkProb(p)
-	return u.Lo + p*(u.Hi-u.Lo)
-}
-
-func (u Uniform) String() string { return fmt.Sprintf("Uniform(%g, %g)", u.Lo, u.Hi) }
-
-// Weibull is the Weibull distribution with shape k and scale lambda.
-// It is included for sensitivity experiments beyond the paper's own
-// set: shape < 1 gives a heavy tail, shape > 1 a light one.
-type Weibull struct {
-	ShapeK float64 // k > 0
-	Scale  float64 // lambda > 0
-}
-
-// NewWeibull returns a Weibull distribution, panicking on invalid
-// parameters.
-func NewWeibull(k, scale float64) Weibull {
-	if k <= 0 || scale <= 0 {
-		panic(fmt.Sprintf("stats: invalid Weibull(%v, %v)", k, scale))
-	}
-	return Weibull{ShapeK: k, Scale: scale}
-}
-
-// Sample draws via inverse-transform sampling.
-func (w Weibull) Sample(r *RNG) float64 {
-	return w.Scale * math.Pow(r.ExpFloat64(), 1/w.ShapeK)
-}
-
-// Mean returns lambda*Gamma(1 + 1/k).
-func (w Weibull) Mean() float64 {
-	return w.Scale * math.Gamma(1+1/w.ShapeK)
-}
-
-// CDF returns 1 - exp(-(x/lambda)^k).
-func (w Weibull) CDF(x float64) float64 {
-	if x < 0 {
-		return 0
-	}
-	return 1 - math.Exp(-math.Pow(x/w.Scale, w.ShapeK))
-}
-
-// Quantile returns the inverse CDF.
-func (w Weibull) Quantile(p float64) float64 {
-	checkProb(p)
-	return w.Scale * math.Pow(-math.Log(1-p), 1/w.ShapeK)
-}
-
-func (w Weibull) String() string {
-	return fmt.Sprintf("Weibull(k=%g, scale=%g)", w.ShapeK, w.Scale)
-}
-
 // Deterministic is a degenerate distribution that always returns
-// Value. It is useful in tests and for modelling fixed overheads.
+// Value: the service time of an M/D/1 queue.
+//
+//lint:allow deadexports the M/D/1 service distribution the simulator's theory-validation test checks against the Pollaczek-Khinchine oracle
 type Deterministic struct {
 	Value float64
 }
@@ -272,29 +190,6 @@ func (d Deterministic) Quantile(p float64) float64 {
 
 func (d Deterministic) String() string {
 	return fmt.Sprintf("Deterministic(%g)", d.Value)
-}
-
-// Shifted wraps a distribution and adds a constant Offset to every
-// sample, modelling fixed per-request overhead (e.g. network RTT).
-type Shifted struct {
-	Base   Dist
-	Offset float64
-}
-
-// Sample draws from Base and adds Offset.
-func (s Shifted) Sample(r *RNG) float64 { return s.Base.Sample(r) + s.Offset }
-
-// Mean returns Base.Mean() + Offset.
-func (s Shifted) Mean() float64 { return s.Base.Mean() + s.Offset }
-
-// CDF shifts the base CDF.
-func (s Shifted) CDF(x float64) float64 { return s.Base.CDF(x - s.Offset) }
-
-// Quantile shifts the base quantile.
-func (s Shifted) Quantile(p float64) float64 { return s.Base.Quantile(p) + s.Offset }
-
-func (s Shifted) String() string {
-	return fmt.Sprintf("Shifted(%v, +%g)", s.Base, s.Offset)
 }
 
 func checkProb(p float64) {

@@ -12,25 +12,15 @@ func TestECDFBasics(t *testing.T) {
 	if e.Len() != 5 {
 		t.Fatalf("Len = %d", e.Len())
 	}
-	if e.Min() != 1 || e.Max() != 5 {
-		t.Fatalf("Min/Max = %v/%v", e.Min(), e.Max())
-	}
-	// P is Pr(X < t), strictly less, per the paper's DiscreteCDF.
+	// PLE is Pr(X <= t), an inclusive count.
 	cases := []struct{ t, want float64 }{
-		{0, 0}, {1, 0}, {1.5, 0.2}, {2, 0.2}, {2.5, 0.6},
-		{3, 0.6}, {4, 0.8}, {5, 0.8}, {6, 1},
+		{0, 0}, {1, 0.2}, {1.5, 0.2}, {2, 0.6}, {2.5, 0.6},
+		{3, 0.8}, {4, 0.8}, {5, 1}, {6, 1},
 	}
 	for _, c := range cases {
-		if got := e.P(c.t); math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("P(%v) = %v, want %v", c.t, got, c.want)
+		if got := e.PLE(c.t); math.Abs(got-c.want) > 1e-12 {
+			t.Errorf("PLE(%v) = %v, want %v", c.t, got, c.want)
 		}
-	}
-	// PLE is Pr(X <= t).
-	if got := e.PLE(2); math.Abs(got-0.6) > 1e-12 {
-		t.Errorf("PLE(2) = %v, want 0.6", got)
-	}
-	if got := e.PLE(5); got != 1 {
-		t.Errorf("PLE(5) = %v, want 1", got)
 	}
 }
 
@@ -42,60 +32,9 @@ func TestECDFInputNotMutated(t *testing.T) {
 	}
 }
 
-func TestFromSortedPanicsOnUnsorted(t *testing.T) {
-	if !debugChecks {
-		t.Skip("sortedness verification is compiled in only with -tags statsdebug")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("FromSorted accepted unsorted input")
-		}
-	}()
-	FromSorted([]float64{2, 1})
-}
-
-func TestInPlaceAndSortedVariantsAgree(t *testing.T) {
-	xs := []float64{9, 1, 4, 4, 7, 2, 8, 3, 6, 5}
-	for _, p := range []float64{0, 0.25, 0.5, 0.9, 0.95, 1} {
-		want := Quantile(xs, p) // copying reference implementation
-		inPlace := append([]float64(nil), xs...)
-		if got := QuantileInPlace(inPlace, p); got != want {
-			t.Errorf("QuantileInPlace(%v) = %v, want %v", p, got, want)
-		}
-		if !sort.Float64sAreSorted(inPlace) {
-			t.Fatal("QuantileInPlace left input unsorted")
-		}
-		if got := SortedQuantile(inPlace, p); got != want {
-			t.Errorf("SortedQuantile(%v) = %v, want %v", p, got, want)
-		}
-	}
-	if got, want := PercentileInPlace(append([]float64(nil), xs...), 90), Percentile(xs, 90); got != want {
-		t.Errorf("PercentileInPlace(90) = %v, want %v", got, want)
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if got, want := SortedPercentile(sorted, 90), Percentile(xs, 90); got != want {
-		t.Errorf("SortedPercentile(90) = %v, want %v", got, want)
-	}
-}
-
-func TestNewECDFInPlaceTakesOwnership(t *testing.T) {
-	xs := []float64{3, 1, 2}
-	e := NewECDFInPlace(xs)
-	if !sort.Float64sAreSorted(xs) {
-		t.Fatal("NewECDFInPlace did not sort its input in place")
-	}
-	if e.Len() != 3 || e.Min() != 1 || e.Max() != 3 {
-		t.Fatalf("unexpected ECDF state: len=%d min=%v max=%v", e.Len(), e.Min(), e.Max())
-	}
-	if &xs[0] != &e.Sorted()[0] {
-		t.Fatal("NewECDFInPlace copied instead of taking ownership")
-	}
-}
-
 func TestEmptyECDF(t *testing.T) {
 	e := NewECDF(nil)
-	if e.P(10) != 0 || e.PLE(10) != 0 {
+	if e.PLE(10) != 0 {
 		t.Error("empty ECDF should return 0 probabilities")
 	}
 	defer func() {
@@ -154,9 +93,6 @@ func TestPackageLevelHelpers(t *testing.T) {
 	if got := Percentile(xs, 100); got != 5 {
 		t.Errorf("Percentile = %v", got)
 	}
-	if got := Quantile(xs, 0); got != 1 {
-		t.Errorf("Quantile = %v", got)
-	}
 	if xs[0] != 5 {
 		t.Error("helper mutated input")
 	}
@@ -178,16 +114,13 @@ func TestECDFCountProperty(t *testing.T) {
 			return true
 		}
 		e := NewECDF(xs)
-		var less, lessEq int
+		lessEq := 0
 		for _, v := range xs {
-			if v < probe {
-				less++
-			}
 			if v <= probe {
 				lessEq++
 			}
 		}
-		return e.CountLess(probe) == less && e.CountLessEq(probe) == lessEq
+		return e.CountLessEq(probe) == lessEq
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

@@ -134,21 +134,13 @@ func (r *RNG) Split(label uint64) *RNG {
 }
 
 // Shuffle permutes the first n elements using swap, Fisher-Yates style.
+//
+//lint:allow deadexports the e2ebench module shuffles its sweep points with it
 func (r *RNG) Shuffle(n int, swap func(i, j int)) {
 	for i := n - 1; i > 0; i-- {
 		j := r.Intn(i + 1)
 		swap(i, j)
 	}
-}
-
-// Perm returns a random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	r.Shuffle(n, func(i, j int) { p[i], p[j] = p[j], p[i] })
-	return p
 }
 
 // Mix64 is the repository's shared SplitMix64-style finalizer for

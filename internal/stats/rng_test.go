@@ -183,17 +183,27 @@ func TestSplitDecorrelated(t *testing.T) {
 	}
 }
 
+// perm returns a random permutation of [0, n) made by Shuffle.
+func perm(r *RNG, n int) []int {
+	p := make([]int, n)
+	for i := range p {
+		p[i] = i
+	}
+	r.Shuffle(n, func(i, j int) { p[i], p[j] = p[j], p[i] })
+	return p
+}
+
 func TestPermIsPermutation(t *testing.T) {
 	r := NewRNG(29)
 	for _, n := range []int{0, 1, 2, 10, 100} {
-		p := r.Perm(n)
+		p := perm(r, n)
 		if len(p) != n {
-			t.Fatalf("Perm(%d) has length %d", n, len(p))
+			t.Fatalf("perm(%d) has length %d", n, len(p))
 		}
 		seen := make([]bool, n)
 		for _, v := range p {
 			if v < 0 || v >= n || seen[v] {
-				t.Fatalf("Perm(%d) = %v is not a permutation", n, p)
+				t.Fatalf("perm(%d) = %v is not a permutation", n, p)
 			}
 			seen[v] = true
 		}
@@ -205,7 +215,7 @@ func TestPermUniformFirstElement(t *testing.T) {
 	const n, trials = 5, 50000
 	counts := make([]int, n)
 	for i := 0; i < trials; i++ {
-		counts[r.Perm(n)[0]]++
+		counts[perm(r, n)[0]]++
 	}
 	want := float64(trials) / n
 	for i, c := range counts {

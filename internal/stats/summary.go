@@ -116,16 +116,6 @@ func (h *Histogram) AddAll(xs []float64) {
 	}
 }
 
-// Total returns the number of recorded observations including
-// overflow.
-func (h *Histogram) Total() int {
-	t := h.Overflow
-	for _, c := range h.Counts {
-		t += c
-	}
-	return t
-}
-
 // BinCenter returns the midpoint of bin i, matching the paper's
 // x-axis labelling (10, 30, 50, ... for 20 ms bins).
 func (h *Histogram) BinCenter(i int) float64 {

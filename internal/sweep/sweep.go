@@ -32,7 +32,6 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/stats"
 )
 
 // Point is one independent unit of sweep work.
@@ -106,15 +105,6 @@ func (e *Env) WarmCluster(c *cluster.Cluster, err error) (*cluster.Cluster, erro
 		return c, err
 	}
 	return e.Warm(c), nil
-}
-
-// Seed derives the deterministic seed for point i of a sweep from
-// the sweep's base seed, using the repository's shared Mix64
-// finalizer. The result depends only on (base, i) — never on worker
-// count or scheduling — and is never zero (many Config consumers
-// treat a zero seed as "unset").
-func Seed(base uint64, i int) uint64 {
-	return stats.Mix64NonZero(base ^ (uint64(i)+1)*0x9e3779b97f4a7c15)
 }
 
 // Run evaluates every point and returns the first error by point
@@ -219,32 +209,6 @@ func label(p *Point, i int) string {
 		return p.Label
 	}
 	return fmt.Sprintf("#%d", i)
-}
-
-// Map evaluates fn over items through the pool and returns the
-// results in item order. It is the convenience shape for grids whose
-// points all produce a value of the same type.
-func Map[T, R any](items []T, opt Options, fn func(env *Env, i int, item T) (R, error)) ([]R, error) {
-	out := make([]R, len(items))
-	points := make([]Point, len(items))
-	for i := range items {
-		i := i
-		points[i] = Point{
-			Label: fmt.Sprintf("#%d", i),
-			Run: func(env *Env) error {
-				r, err := fn(env, i, items[i])
-				if err != nil {
-					return err
-				}
-				out[i] = r
-				return nil
-			},
-		}
-	}
-	if err := Run(points, opt); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // progress is the sweep-level progress/ETA reporter: a counter

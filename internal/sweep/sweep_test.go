@@ -13,13 +13,35 @@ import (
 	"repro/reissue"
 )
 
+// mapItems evaluates fn over items through the pool and returns the
+// results in item order.
+func mapItems[T, R any](items []T, opt Options, fn func(env *Env, i int, item T) (R, error)) ([]R, error) {
+	out := make([]R, len(items))
+	points := make([]Point, len(items))
+	for i := range items {
+		i := i
+		points[i] = Point{
+			Label: fmt.Sprintf("#%d", i),
+			Run: func(env *Env) error {
+				r, err := fn(env, i, items[i])
+				out[i] = r
+				return err
+			},
+		}
+	}
+	if err := Run(points, opt); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
 func TestMapPreservesItemOrder(t *testing.T) {
 	items := make([]int, 40)
 	for i := range items {
 		items[i] = i
 	}
 	for _, workers := range []int{1, 2, 7} {
-		got, err := Map(items, Options{Workers: workers}, func(env *Env, i, item int) (int, error) {
+		got, err := mapItems(items, Options{Workers: workers}, func(env *Env, i, item int) (int, error) {
 			if env.Point != i {
 				return 0, fmt.Errorf("env.Point = %d for point %d", env.Point, i)
 			}
@@ -96,26 +118,6 @@ func TestRunErrorNamesPoint(t *testing.T) {
 	}
 }
 
-func TestSeedDeterministicAndNonZero(t *testing.T) {
-	seen := map[uint64]int{}
-	for i := 0; i < 1000; i++ {
-		s := Seed(0, i)
-		if s == 0 {
-			t.Fatalf("Seed(0, %d) = 0", i)
-		}
-		if s != Seed(0, i) {
-			t.Fatalf("Seed(0, %d) not stable", i)
-		}
-		if j, dup := seen[s]; dup {
-			t.Fatalf("Seed collision between points %d and %d", j, i)
-		}
-		seen[s] = i
-	}
-	if Seed(1, 5) == Seed(2, 5) {
-		t.Fatal("Seed ignores the base")
-	}
-}
-
 // TestWarmEnginesReplayIdentical drives the harness end to end the
 // way the figure jobs do — every point builds its own cluster,
 // warmed from the worker's previous point — and checks the merged
@@ -129,7 +131,7 @@ func TestWarmEnginesReplayIdentical(t *testing.T) {
 			Queries:     600,
 			Warmup:      60,
 			Source:      cluster.DistSource{Dist: stats.NewExponential(0.1)},
-			Seed:        Seed(42, i),
+			Seed:        uint64(42 + i),
 		}
 	}
 	const n = 12
@@ -231,7 +233,7 @@ func TestProgressReportGuardsDegenerateElapsed(t *testing.T) {
 func TestProgressReporting(t *testing.T) {
 	var buf bytes.Buffer
 	items := make([]int, 30)
-	_, err := Map(items, Options{
+	_, err := mapItems(items, Options{
 		Workers: 2, Progress: &buf, Name: "demo", ProgressEvery: time.Millisecond,
 	}, func(_ *Env, i, _ int) (int, error) {
 		time.Sleep(time.Millisecond)

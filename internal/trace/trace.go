@@ -5,13 +5,12 @@
 // and optional reissue requests were dispatched and how long each
 // took.
 //
-// Logs round-trip through CSV (human-inspectable, interoperable) and
-// gob (compact, lossless) encodings.
+// Logs round-trip through CSV, which is human-inspectable and exact
+// for every float64.
 package trace
 
 import (
 	"encoding/csv"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"math"
@@ -81,7 +80,13 @@ func (l *Log) PrimaryTimes() []float64 {
 // that were actually sent and ran to completion (the optimizer's RY
 // sample set).
 func (l *Log) ReissueTimes() []float64 {
-	var out []float64
+	n := 0
+	for _, r := range l.Records {
+		if r.Reissued && r.ReissueDone {
+			n++
+		}
+	}
+	out := make([]float64, 0, n)
 	for _, r := range l.Records {
 		if r.Reissued && r.ReissueDone {
 			out = append(out, r.Reissue)
@@ -95,31 +100,6 @@ func (l *Log) ResponseTimes() []float64 {
 	out := make([]float64, len(l.Records))
 	for i, r := range l.Records {
 		out[i] = r.Response
-	}
-	return out
-}
-
-// ReissueRate returns the fraction of queries that were reissued.
-func (l *Log) ReissueRate() float64 {
-	if len(l.Records) == 0 {
-		return 0
-	}
-	n := 0
-	for _, r := range l.Records {
-		if r.Reissued {
-			n++
-		}
-	}
-	return float64(n) / float64(len(l.Records))
-}
-
-// Filter returns a new Log containing the records accepted by keep.
-func (l *Log) Filter(keep func(Record) bool) *Log {
-	out := &Log{}
-	for _, r := range l.Records {
-		if keep(r) {
-			out.Add(r)
-		}
 	}
 	return out
 }
@@ -259,21 +239,4 @@ func parseRow(row []string, legacy bool) (Record, error) {
 		return rec, fmt.Errorf("bad reissues %q", row[5])
 	}
 	return rec, nil
-}
-
-// WriteGob writes the log in gob encoding.
-func (l *Log) WriteGob(w io.Writer) error {
-	if err := gob.NewEncoder(w).Encode(l); err != nil {
-		return fmt.Errorf("trace: encoding gob: %w", err)
-	}
-	return nil
-}
-
-// ReadGob parses a log written by WriteGob.
-func ReadGob(r io.Reader) (*Log, error) {
-	log := &Log{}
-	if err := gob.NewDecoder(r).Decode(log); err != nil {
-		return nil, fmt.Errorf("trace: decoding gob: %w", err)
-	}
-	return log, nil
 }

@@ -1,8 +1,10 @@
 package reissue
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/rangequery"
@@ -127,11 +129,9 @@ func countLE(sorted []float64, t float64) int {
 // taking the correlation between primary and reissue response times
 // into account (Section 4.2): the success-rate computation replaces
 // the unconditional Pr(Y <= t-d) with the conditional
-// Pr(Y <= t-d | X > t), estimated with a 2-D orthogonal
-// range-counting structure over the paired samples. Runs in
-// Θ(N log^2 N) — the merge-sort tree costs an extra log factor per
-// query relative to the paper's claimed structure, which does not
-// change the search's output.
+// Pr(Y <= t-d | X > t), estimated by a sweep over the paired samples
+// that keeps the pairs with X > t in a Fenwick tree over Y ranks.
+// Runs in O(N log N), the bound the paper claims.
 //
 // rx is the full primary response-time log (one sample per query).
 // pairs holds (primary, reissue) response times for the queries that
@@ -162,12 +162,21 @@ func ComputeOptimalSingleRCorrelatedSorted(sx []float64, pairs []rangequery.Poin
 		sy[i] = p.Y
 	}
 	stats.SortFloat64s(sy)
-	tree := rangequery.NewMergeTree(pairs)
-	fyTD := rangequery.NewFinger(sy)
+	byX := slices.Clone(pairs)
+	slices.SortFunc(byX, func(a, b rangequery.Point) int { return cmp.Compare(b.X, a.X) })
+	// t only falls during the search, so the pairs with X > t only
+	// grow: insert them by descending X as t drops, each at the rank
+	// of its Y, and count those with Y <= t-d by a prefix sum.
+	above := rangequery.NewFenwick(len(sy))
+	inserted := 0
 	nx := float64(len(sx))
 	ny := float64(len(sy))
 
 	success := func(t, d float64) float64 {
+		for inserted < len(byX) && byX[inserted].X > t {
+			above.Add(countLE(sy, byX[inserted].Y)-1, 1)
+			inserted++
+		}
 		pxLE := float64(countLE(sx, t)) / nx
 		pxGT := 1 - float64(countLE(sx, d))/nx
 		q := 1.0
@@ -178,7 +187,11 @@ func ComputeOptimalSingleRCorrelatedSorted(sx []float64, pairs []rangequery.Poin
 		if t >= d {
 			// Conditional CDF; falls back to the unconditional
 			// estimate when no pair has X > t.
-			pyLE = tree.CondYLEGivenXGreater(t-d, t, float64(fyTD.CountLessEq(t-d))/ny)
+			c := countLE(sy, t-d)
+			pyLE = float64(c) / ny
+			if inserted > 0 {
+				pyLE = float64(above.PrefixSum(c-1)) / float64(inserted)
+			}
 		}
 		return pxLE + q*(1-pxLE)*pyLE
 	}

@@ -2,7 +2,6 @@ package reissue
 
 import (
 	"math"
-	"sort"
 	"testing"
 	"testing/quick"
 
@@ -22,13 +21,14 @@ func sampleLog(d stats.Dist, n int, seed uint64) []float64 {
 
 // bruteForceOptimal scans every candidate reissue delay d in rx and
 // returns the smallest achievable predicted tail latency — an
-// independent O(N^2 log N) reference for the Figure 1 algorithm.
+// independent O(N^2 log N) reference for the Figure 1 algorithm. It
+// counts Pr(X > d) inclusively, as the optimizer does.
 func bruteForceOptimal(rx, ry []float64, k, B float64) (SingleR, float64) {
 	sx := sortedCopy(rx)
 	best := SingleR{D: sx[0], Q: 1}
 	bestT := math.Inf(1)
 	for _, d := range sx {
-		pxGT := 1 - float64(sort.SearchFloat64s(sx, d))/float64(len(sx))
+		pxGT := 1 - float64(countLE(sx, d))/float64(len(sx))
 		q := 1.0
 		if pxGT > 0 {
 			q = math.Min(1, B/pxGT)
@@ -97,29 +97,146 @@ func TestOptimizerImprovesOnBaseline(t *testing.T) {
 }
 
 func TestOptimizerMatchesBruteForce(t *testing.T) {
-	for _, tc := range []struct {
+	type tcase struct {
 		dist stats.Dist
 		k, B float64
-	}{
-		{stats.NewPareto(1.1, 2), 0.95, 0.05},
-		{stats.NewPareto(1.1, 2), 0.99, 0.02},
-		{stats.NewLogNormal(1, 1), 0.95, 0.10},
-		{stats.NewExponential(0.1), 0.90, 0.20},
-	} {
-		rx := sampleLog(tc.dist, 2000, 42)
-		ry := sampleLog(tc.dist, 2000, 43)
+		n    int
+		seed uint64
+	}
+	cases := []tcase{
+		{stats.NewPareto(1.1, 2), 0.95, 0.05, 2000, 42},
+		{stats.NewPareto(1.1, 2), 0.99, 0.02, 2000, 42},
+		{stats.NewLogNormal(1, 1), 0.95, 0.10, 2000, 42},
+		{stats.NewExponential(0.1), 0.90, 0.20, 2000, 42},
+	}
+	r := stats.NewRNG(5)
+	dists := []stats.Dist{stats.NewPareto(1.1, 2), stats.NewLogNormal(1, 1), stats.NewExponential(0.1)}
+	for i := 0; i < 24; i++ {
+		cases = append(cases, tcase{
+			dist: dists[r.Intn(len(dists))],
+			k:    0.5 + 0.49*r.Float64(),
+			B:    0.3 * r.Float64(),
+			n:    10 + r.Intn(400),
+			seed: r.Uint64(),
+		})
+	}
+	for _, tc := range cases {
+		rx := sampleLog(tc.dist, tc.n, tc.seed)
+		ry := sampleLog(tc.dist, tc.n, tc.seed+1)
 		_, pred, err := ComputeOptimalSingleR(rx, ry, tc.k, tc.B)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, bruteT := bruteForceOptimal(rx, ry, tc.k, tc.B)
-		// The Figure 1 search must achieve the brute-force optimum
-		// (both return sample values, so compare exactly up to the
-		// adjacent-sample slack of the discrete search).
-		if pred.TailLatency > bruteT*1.02+1e-9 {
-			t.Errorf("%v k=%v B=%v: optimizer %v vs brute force %v",
-				tc.dist, tc.k, tc.B, pred.TailLatency, bruteT)
+		// The Figure 1 search must find the brute-force optimum; both
+		// return sample values, so they compare exactly.
+		if _, bruteT := bruteForceOptimal(rx, ry, tc.k, tc.B); pred.TailLatency != bruteT {
+			t.Errorf("%v n=%d seed=%d k=%v B=%v: optimizer %v vs brute force %v",
+				tc.dist, tc.n, tc.seed, tc.k, tc.B, pred.TailLatency, bruteT)
 		}
+	}
+}
+
+// bruteForceCorrelated runs the Figure 1 search with the correlated
+// success rate, counting Pr(Y <= t-d | X > t) by scanning every pair
+// on each evaluation: an O(N^2) reference for the Fenwick sweep.
+func bruteForceCorrelated(sx []float64, pairs []rangequery.Point, k, B float64) (SingleR, Prediction) {
+	nx := float64(len(sx))
+	success := func(t, d float64) float64 {
+		pxLE := float64(countLE(sx, t)) / nx
+		pxGT := 1 - float64(countLE(sx, d))/nx
+		q := 1.0
+		if pxGT > 0 {
+			q = math.Min(1, B/pxGT)
+		}
+		if t < d {
+			return pxLE
+		}
+		var gt, gtYLE, yLE int
+		for _, p := range pairs {
+			if p.Y <= t-d {
+				yLE++
+			}
+			if p.X > t {
+				gt++
+				if p.Y <= t-d {
+					gtYLE++
+				}
+			}
+		}
+		pyLE := float64(yLE) / float64(len(pairs))
+		if gt > 0 {
+			pyLE = float64(gtYLE) / float64(gt)
+		}
+		return pxLE + q*(1-pxLE)*pyLE
+	}
+	dStar := sx[0]
+	hi := len(sx) - 1
+	t := sx[hi]
+	for lo := 0; lo <= hi; lo++ {
+		d := sx[lo]
+		for alpha := success(t, d); alpha > k && t > d && hi > lo; alpha = success(t, d) {
+			hi--
+			t = sx[hi]
+			dStar = d
+		}
+	}
+	pxGT := 1 - float64(countLE(sx, dStar))/nx
+	q := 1.0
+	if pxGT > 0 {
+		q = math.Min(1, B/pxGT)
+	}
+	return SingleR{D: dStar, Q: q}, Prediction{TailLatency: t, SuccessRate: success(t, dStar), Budget: q * pxGT}
+}
+
+// The correlated optimizer matches its O(N^2) reference bit for bit on
+// point sets where most X and Y values are tied, so the sweep's
+// insertion boundary and the rank queries land on ties. The first
+// 300 sets are drawn as the retired merge-sort tree's tied-X test drew
+// them; the rest add a primary log wider than the pair set.
+func TestCorrelatedOptimizerMatchesBruteForce(t *testing.T) {
+	ks := []float64{0.5, 0.9, 0.95, 0.99}
+	Bs := []float64{0, 0.05, 0.3, 1}
+	check := func(trial int, rx []float64, pairs []rangequery.Point) {
+		k, B := ks[trial%4], Bs[trial/4%4]
+		sx := sortedCopy(rx)
+		pol, pred, err := ComputeOptimalSingleRCorrelatedSorted(sx, pairs, k, B)
+		if len(pairs) == 0 {
+			if err == nil {
+				t.Fatalf("trial %d: empty pairs accepted", trial)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if wantPol, wantPred := bruteForceCorrelated(sx, pairs, k, B); pol != wantPol || pred != wantPred {
+			t.Fatalf("trial %d (k=%v B=%v, %d pairs): got %v %+v, brute force %v %+v",
+				trial, k, B, len(pairs), pol, pred, wantPol, wantPred)
+		}
+	}
+	r := stats.NewRNG(7)
+	for trial := 0; trial < 300; trial++ {
+		n := r.Intn(80)
+		distinctX := 1 + r.Intn(6)
+		pairs := make([]rangequery.Point, n)
+		rx := []float64{float64(distinctX)}
+		for i := range pairs {
+			pairs[i] = rangequery.Point{X: float64(r.Intn(distinctX)), Y: float64(r.Intn(10))}
+			rx = append(rx, pairs[i].X)
+		}
+		check(trial, rx, pairs)
+	}
+	r = stats.NewRNG(8)
+	for trial := 300; trial < 600; trial++ {
+		rx := make([]float64, 1+r.Intn(200))
+		var pairs []rangequery.Point
+		for i := range rx {
+			rx[i] = float64(r.Intn(30))
+			if r.Bool(0.3) {
+				pairs = append(pairs, rangequery.Point{X: rx[i], Y: float64(r.Intn(15)) + 0.5*rx[i]})
+			}
+		}
+		check(trial, rx, pairs)
 	}
 }
 
@@ -271,7 +388,7 @@ func TestOptimizerInvariantsProperty(t *testing.T) {
 		if pred.Budget > B+1e-9 {
 			return false
 		}
-		base := stats.Quantile(rx, k)
+		base := stats.NewECDF(rx).Quantile(k)
 		return pred.TailLatency <= base+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Static-analysis gate: the stock toolchain's vet plus the repo's own
 # invariant checker (cmd/reissue-vet — determinism, salt discipline,
-# context flow, snapshot accounting, core-shim imports). CI runs the
+# context flow, snapshot accounting, dead exports). CI runs the
 # same two commands with the same flags; run this locally before
 # pushing.
 #
