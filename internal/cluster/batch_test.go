@@ -33,8 +33,8 @@ func TestServerBatchCoalescesOnFill(t *testing.T) {
 	s := batchServer(sched.BatchConfig{Size: 2, LingerMS: 50}, sim, &batches, &doneAt)
 	a := mkReq(0, 10, false, 0)
 	b := mkReq(1, 4, false, 0)
-	sim.At(0, func(now float64) { s.Enqueue(a, now) })
-	sim.At(1, func(now float64) { s.Enqueue(b, now) })
+	enqueueAt(sim, 0, s, a)
+	enqueueAt(sim, 1, s, b)
 	sim.Run()
 	if len(batches) != 1 || len(batches[0]) != 2 {
 		t.Fatalf("batches = %v, want one batch of 2", batches)
@@ -54,7 +54,7 @@ func TestServerBatchLingerExpiry(t *testing.T) {
 	var batches [][]int
 	doneAt := map[int]float64{}
 	s := batchServer(sched.BatchConfig{Size: 3, LingerMS: 5}, sim, &batches, &doneAt)
-	sim.At(0, func(now float64) { s.Enqueue(mkReq(0, 2, false, 0), now) })
+	enqueueAt(sim, 0, s, mkReq(0, 2, false, 0))
 	sim.Run()
 	// Window opens at t=0, expires at t=5, solo batch completes at 7.
 	if doneAt[0] != 7 {
@@ -73,11 +73,11 @@ func TestServerBatchZeroLingerImmediate(t *testing.T) {
 	var batches [][]int
 	doneAt := map[int]float64{}
 	s := batchServer(sched.BatchConfig{Size: 4}, sim, &batches, &doneAt)
-	sim.At(0, func(now float64) { s.Enqueue(mkReq(0, 3, false, 0), now) })
+	enqueueAt(sim, 0, s, mkReq(0, 3, false, 0))
 	// Arrives mid-service of batch 1; served in a second batch with
 	// the request arriving during the same hold.
-	sim.At(1, func(now float64) { s.Enqueue(mkReq(1, 2, false, 0), now) })
-	sim.At(2, func(now float64) { s.Enqueue(mkReq(2, 2, false, 0), now) })
+	enqueueAt(sim, 1, s, mkReq(1, 2, false, 0))
+	enqueueAt(sim, 2, s, mkReq(2, 2, false, 0))
 	sim.Run()
 	if doneAt[0] != 3 {
 		t.Fatalf("first completion at %v, want 3 (immediate launch)", doneAt[0])
@@ -99,10 +99,7 @@ func TestServerBatchCostModel(t *testing.T) {
 	s := batchServer(sched.BatchConfig{
 		Size: 2, Cost: sched.BatchCost{Scale: 0.1, PerItem: 2},
 	}, sim, &batches, &doneAt)
-	sim.At(0, func(now float64) {
-		s.Enqueue(mkReq(0, 10, false, 0), now)
-		s.Enqueue(mkReq(1, 4, false, 0), now)
-	})
+	enqueueAt(sim, 0, s, mkReq(0, 10, false, 0), mkReq(1, 4, false, 0))
 	sim.Run()
 	// Same-instant pair: the first Enqueue launches a solo batch
 	// (Linger=0), the second runs alone after it: 10 then 10+4.

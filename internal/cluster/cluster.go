@@ -103,7 +103,9 @@ type Config struct {
 	// OnRequestComplete, when set, is invoked each time a request
 	// copy finishes service, with whether it was a reissue, its
 	// response time, and the simulation time. Online adapters use it
-	// to observe the live response-time stream mid-run.
+	// to observe the live response-time stream mid-run. Requires
+	// finite Servers: infinite-server runs are evaluated per query in
+	// closed form, not in global time order.
 	OnRequestComplete func(reissue bool, responseTime, now float64)
 	// Queries is the number of queries to simulate, excluding warmup.
 	Queries int
@@ -242,6 +244,9 @@ func (c Config) validate() error {
 	}
 	if c.Servers > 0 && c.ArrivalTimes == nil && (c.ArrivalRate <= 0 || math.IsNaN(c.ArrivalRate)) {
 		return fmt.Errorf("cluster: ArrivalRate=%v must be positive with finite servers", c.ArrivalRate)
+	}
+	if c.Servers == 0 && c.OnRequestComplete != nil {
+		return fmt.Errorf("cluster: OnRequestComplete requires finite servers")
 	}
 	if c.ArrivalTimes != nil {
 		if len(c.ArrivalTimes) < c.Queries+c.Warmup {
@@ -506,6 +511,7 @@ type runState struct {
 	lengths []int // published queue lengths, one slot per server
 	arena   reqArena
 	planBuf []float64
+	timers  []timer // evaluate's per-query timer scratch
 
 	policy    reissue.Policy
 	policyRNG *stats.RNG
@@ -531,7 +537,6 @@ type runState struct {
 	// per-reissue, and per-toggle closures of the old controller.
 	arriveFn    des.ArgEvent
 	reissueFn   des.ArgEvent
-	infDoneFn   des.ArgEvent
 	slowFn      des.ArgEvent
 	chaosDoneFn des.ArgEvent
 }
@@ -543,7 +548,6 @@ func (c *Cluster) state() *runState {
 		rs = &runState{cfg: &c.cfg, sim: des.New()}
 		rs.arriveFn = rs.arrive
 		rs.reissueFn = rs.reissueAt
-		rs.infDoneFn = rs.infComplete
 		rs.slowFn = rs.setSlow
 		rs.chaosDoneFn = rs.chaosComplete
 		if c.cfg.Servers > 0 {
@@ -599,8 +603,7 @@ func (rs *runState) buildServers(cfg *Config) {
 }
 
 // onComplete handles one finished request copy — it is the single
-// completion callback shared by every server and the infinite-server
-// path.
+// completion callback shared by every server.
 func (rs *runState) onComplete(r *request, now float64) {
 	q := r.q
 	if r.cancelled {
@@ -651,18 +654,11 @@ func (rs *runState) onComplete(r *request, now float64) {
 	}
 }
 
-// dispatch sends one request copy to a server (or to the no-queueing
-// infinite-server pool), returning the chosen server index. Callers
-// populate the request, including r.dispatch, before handing it over.
+// dispatch sends one request copy to a server, returning the chosen
+// server index. Callers populate the request, including r.dispatch,
+// before handing it over.
 func (rs *runState) dispatch(r *request, now float64, exclude int) int {
 	r.q.outstanding = append(r.q.outstanding, r)
-	if rs.cfg.Servers == 0 {
-		// Infinite servers: no queueing, response = service; the
-		// copy starts immediately, so it is never cancellable.
-		r.inService = true
-		rs.sim.AfterArg(r.service, rs.infDoneFn, int(r.idx), 0)
-		return -1
-	}
 	var idx int
 	if qp, ok := rs.cfg.LB.(queryPlacer); ok {
 		// Query-aware deterministic placement (HashedLB): the
@@ -717,11 +713,6 @@ func (rs *runState) chaosComplete(now float64, reqIdx int, _ float64) {
 	rs.onComplete(rs.arena.at(reqIdx), now)
 }
 
-// infComplete fires when an infinite-server copy finishes service.
-func (rs *runState) infComplete(now float64, reqIdx int, _ float64) {
-	rs.onComplete(rs.arena.at(reqIdx), now)
-}
-
 // arrive fires when query qi's primary is dispatched. The reissue
 // plan is sampled here (not at schedule time) so that policies whose
 // parameters evolve during the run — the online adapter — see their
@@ -752,6 +743,71 @@ func (rs *runState) plan() []float64 {
 		return rs.planBuf
 	}
 	return rs.policy.Plan(rs.policyRNG)
+}
+
+// timer is one planned reissue of an infinite-server query: its due
+// time and its delay.
+type timer struct{ t, d float64 }
+
+// evaluate settles query q in closed form on infinite servers and
+// returns the latest event time its run reaches. With no queueing a
+// copy completes at its dispatch time plus its service time, so the
+// event simulation of the query reduces to comparisons, made here with
+// the same floating-point operations:
+//
+//   - the primary completes at a+sPrim;
+//   - a timer due at a+d sends a reissue only if the query is still
+//     unanswered. On a tie with the primary's completion the primary
+//     wins (its event was scheduled first); on a tie with an earlier
+//     reissue's completion the timer wins (that completion was
+//     scheduled after every timer);
+//   - timers are due in (time, plan index) order, and every reissue
+//     has the same service time, so the first one sent completes
+//     first and answers for the reissue side.
+//
+// The policy is sampled through rs.plan, in query order, as arrive
+// samples it.
+func (rs *runState) evaluate(q *query) float64 {
+	a := q.arrival
+	tp := a + q.sPrim
+	q.primaryDone, q.primaryResp = true, tp-a
+	ts := rs.timers[:0]
+	for _, d := range rs.plan() {
+		t := a + d
+		if !(t >= a) {
+			panic(fmt.Sprintf("cluster: reissue delay %v is negative or NaN", d))
+		}
+		ts = append(ts, timer{t, d})
+	}
+	// A stable insertion sort: linear on the sorted plans every policy
+	// family yields.
+	for i := 1; i < len(ts); i++ {
+		for j := i; j > 0 && ts[j].t < ts[j-1].t; j-- {
+			ts[j], ts[j-1] = ts[j-1], ts[j]
+		}
+	}
+	rs.timers = ts
+	last := tp
+	firstReissue := math.Inf(1) // completion time of the first reissue sent
+	for _, tm := range ts {
+		if tm.t > last {
+			last = tm.t
+		}
+		if tm.t >= tp || firstReissue < tm.t {
+			continue
+		}
+		q.reissues++
+		done := tm.t + q.sReis
+		if q.reissues == 1 {
+			q.reissueDelay, q.reissueResp, q.reissueDone = tm.d, done-tm.t, true
+			firstReissue = done
+		}
+		if done > last {
+			last = done
+		}
+	}
+	q.done, q.response = true, math.Min(tp, firstReissue)-a
+	return last
 }
 
 // reissueAt fires at one of query qi's planned reissue delays.
@@ -785,7 +841,7 @@ func (rs *runState) setSlow(_ float64, si int, factor float64) {
 // drains.
 func (rs *runState) scheduleInterference(horizon float64, root *stats.RNG) {
 	iv := rs.cfg.Interference
-	if iv == nil || rs.cfg.Servers == 0 {
+	if iv == nil {
 		return
 	}
 	ivRNG := root.Split(6)
@@ -843,7 +899,7 @@ func (c *Cluster) RunDetailed(p reissue.Policy) *Result {
 	// common random numbers every run draws the same values, so a
 	// run after the first replays them from the records instead; the
 	// replay rule is on Config.FreshPerRun.
-	at := 0.0
+	at, last := 0.0, 0.0
 	fan := cfg.FanOut
 	if fan < 1 {
 		fan = 1
@@ -874,6 +930,12 @@ func (c *Cluster) RunDetailed(p reissue.Policy) *Result {
 		}
 		at = d.arrival
 		*q = query{id: i, measured: i >= cfg.Warmup, draw: d, outstanding: q.outstanding[:0]}
+		if cfg.Servers == 0 {
+			// Infinite servers: queries do not interact, so each one is
+			// settled as soon as it is drawn, with no event list.
+			last = math.Max(last, rs.evaluate(q))
+			continue
+		}
 		// Arrival times are non-decreasing, so the whole arrival
 		// process rides the event list's O(1) monotone lane and stays
 		// out of the heap.
@@ -882,8 +944,11 @@ func (c *Cluster) RunDetailed(p reissue.Policy) *Result {
 	_, stateless := cfg.Source.(DistSource)
 	rs.drawn = stateless && !cfg.FreshPerRun
 
-	rs.scheduleInterference(at*1.25, root)
-	rs.sim.Run()
+	if cfg.Servers > 0 {
+		rs.scheduleInterference(at*1.25, root)
+		rs.sim.Run()
+		last = rs.sim.Now()
+	}
 
 	// Collect measurements over post-warmup queries into freshly
 	// allocated, exactly-sized result slices (the pooled state stays
@@ -970,7 +1035,7 @@ func (c *Cluster) RunDetailed(p reissue.Policy) *Result {
 		}
 	}
 	res.Batches = rs.batches
-	res.Duration = rs.sim.Now()
+	res.Duration = last
 	if cfg.Servers > 0 && res.Duration > 0 {
 		var busy float64
 		for _, s := range rs.servers {

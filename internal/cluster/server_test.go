@@ -23,11 +23,19 @@ func runServer(t *testing.T, d Discipline, reqs []*request, arrivals []float64) 
 		order = append(order, r.q.id)
 	})
 	for i, r := range reqs {
-		r := r
-		sim.At(arrivals[i], func(now float64) { s.Enqueue(r, now) })
+		enqueueAt(sim, arrivals[i], s, r)
 	}
 	sim.Run()
 	return order
+}
+
+// enqueueAt schedules the arrival of reqs at s, in order, at time t.
+func enqueueAt(sim *des.Sim, t float64, s *server, reqs ...*request) {
+	sim.AtArg(t, func(now float64, _ int, _ float64) {
+		for _, r := range reqs {
+			s.Enqueue(r, now)
+		}
+	}, 0, 0)
 }
 
 func mkReq(id int, service float64, reissue bool, conn int) *request {
@@ -111,8 +119,8 @@ func TestServerRoundRobinHeadOfLineBlocking(t *testing.T) {
 	})
 	long := mkReq(0, 100, false, 0)
 	short := mkReq(1, 1, false, 1)
-	sim.At(0, func(now float64) { s.Enqueue(long, now) })
-	sim.At(1, func(now float64) { s.Enqueue(short, now) })
+	enqueueAt(sim, 0, s, long)
+	enqueueAt(sim, 1, s, short)
 	sim.Run()
 	if doneAt[1] != 101 {
 		t.Fatalf("short request completed at %v, want 101 (blocked)", doneAt[1])
@@ -125,10 +133,7 @@ func TestServerLenCountsInService(t *testing.T) {
 	if s.Len() != 0 {
 		t.Fatalf("idle Len = %d", s.Len())
 	}
-	sim.At(0, func(now float64) {
-		s.Enqueue(mkReq(0, 5, false, 0), now)
-		s.Enqueue(mkReq(1, 5, false, 0), now)
-	})
+	enqueueAt(sim, 0, s, mkReq(0, 5, false, 0), mkReq(1, 5, false, 0))
 	sim.RunUntil(1)
 	if s.Len() != 2 {
 		t.Fatalf("Len = %d, want 2 (1 in service + 1 waiting)", s.Len())
@@ -142,10 +147,7 @@ func TestServerLenCountsInService(t *testing.T) {
 func TestServerBusyTimeAccumulates(t *testing.T) {
 	sim := des.New()
 	s := newTestServer(FIFO, sim, func(*request, float64) {})
-	sim.At(0, func(now float64) {
-		s.Enqueue(mkReq(0, 5, false, 0), now)
-		s.Enqueue(mkReq(1, 7, false, 0), now)
-	})
+	enqueueAt(sim, 0, s, mkReq(0, 5, false, 0), mkReq(1, 7, false, 0))
 	sim.Run()
 	if s.busyTime != 12 {
 		t.Fatalf("busyTime = %v, want 12", s.busyTime)

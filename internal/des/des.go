@@ -17,18 +17,15 @@
 // and lanes have grown to the simulation's peak pending count,
 // and a Sim can be Reset and reused across runs so repeated
 // simulations (the adaptive optimizer's trials, figure regeneration)
-// run allocation-free in steady state. Handles are generation-counted
-// slab references, so cancelling an already-fired event — whose slot
-// may since have been reused — is a safe no-op.
+// run allocation-free in steady state. Every event is a shared
+// ArgEvent with a per-event payload, and every scheduled event fires:
+// the engine has no closures and no cancellation.
 package des
 
 import (
 	"fmt"
 	"math"
 )
-
-// Event is a callback scheduled to run at a simulation time.
-type Event func(now float64)
 
 // ArgEvent is a payload-carrying event callback: one shared func
 // value can serve many scheduled events, with the per-event payload
@@ -38,16 +35,11 @@ type Event func(now float64)
 // events are three func values reused for every query.
 type ArgEvent func(now float64, arg int, x float64)
 
-// slot is one pooled event record. Exactly one of fn and afn is set
-// while the slot is live; gen counts reuses so stale Handles cannot
-// touch a recycled slot.
+// slot is one pooled event record.
 type slot struct {
-	fn   Event
-	afn  ArgEvent
-	arg  int
-	x    float64
-	gen  uint32
-	dead bool
+	fn  ArgEvent
+	arg int
+	x   float64
 }
 
 // entry is one heap element. The ordering key (time, seq) is stored
@@ -56,30 +48,6 @@ type entry struct {
 	time float64
 	seq  uint64
 	slot int32
-}
-
-// Handle identifies a scheduled event so it can be cancelled. The
-// zero Handle is valid and refers to no event.
-type Handle struct {
-	s    *Sim
-	slot int32
-	gen  uint32
-}
-
-// Cancel prevents the event from firing. Cancelling an already-fired
-// or already-cancelled event is a no-op (the handle's generation no
-// longer matches the slot once the event fires). Cancelled events are
-// dropped lazily when they surface at the top of the event list.
-//
-//lint:allow deadexports half of the engine contract model_test.go checks against its reference model; no simulator path cancels yet
-func (h Handle) Cancel() {
-	if h.s == nil {
-		return
-	}
-	sl := &h.s.slab[h.slot]
-	if sl.gen == h.gen {
-		sl.dead = true
-	}
 }
 
 // Sim is a discrete-event simulation instance. The zero value is not
@@ -162,12 +130,11 @@ func (l *lane) reset() {
 // New creates an empty simulation whose clock starts at 0.
 func New() *Sim { return &Sim{} }
 
-// Reset rewinds the clock to 0, drops all pending events, and
-// invalidates every outstanding Handle, keeping the slab and heap
-// capacity so the next run schedules without allocating. It is how
-// callers running many simulations back to back (the adaptive
-// optimizer, figure regeneration) amortize the event list to zero
-// steady-state allocations.
+// Reset rewinds the clock to 0 and drops all pending events, keeping
+// the slab and heap capacity so the next run schedules without
+// allocating. It is how callers running many simulations back to back
+// (the adaptive optimizer, figure regeneration) amortize the event
+// list to zero steady-state allocations.
 func (s *Sim) Reset() {
 	s.now, s.seq, s.fired = 0, 0, 0
 	s.heap = s.heap[:0]
@@ -175,14 +142,8 @@ func (s *Sim) Reset() {
 		s.lanes[i].reset()
 	}
 	s.free = s.free[:0]
-	for i := range s.slab {
-		sl := &s.slab[i]
-		sl.gen++ // invalidate pre-Reset handles
-		sl.fn = nil
-		sl.afn = nil
-		sl.dead = false
-	}
 	for i := len(s.slab) - 1; i >= 0; i-- {
+		s.slab[i].fn = nil
 		s.free = append(s.free, int32(i))
 	}
 }
@@ -193,8 +154,7 @@ func (s *Sim) Now() float64 { return s.now }
 // Fired returns the number of events executed so far.
 func (s *Sim) Fired() uint64 { return s.fired }
 
-// Pending returns the number of events still scheduled (including
-// lazily-cancelled ones not yet dropped).
+// Pending returns the number of events still scheduled.
 //
 //lint:allow deadexports the observation model_test.go compares with its reference model after every operation
 func (s *Sim) Pending() int {
@@ -226,40 +186,14 @@ func (s *Sim) alloc() int32 {
 	return int32(len(s.slab) - 1)
 }
 
-// release recycles a fired or cancelled slot: bump the generation so
-// outstanding handles go stale, drop callback references so closures
-// become collectable, and return the slot to the free list.
-func (s *Sim) release(idx int32) {
-	sl := &s.slab[idx]
-	sl.gen++
-	sl.fn = nil
-	sl.afn = nil
-	sl.dead = false
-	s.free = append(s.free, idx)
-}
-
-// At schedules fn to run at absolute time t. Scheduling in the past
-// panics: it is always a logic error in the calling model.
-//
-//lint:allow deadexports the closure form the des and cluster unit tests schedule with; TestSameInstantOrderingMixedKinds pins its order against AtArg
-func (s *Sim) At(t float64, fn Event) Handle {
-	s.checkTime(t)
-	sl, e := s.record(t)
-	sl.fn = fn
-	s.push(e)
-	return Handle{s: s, slot: e.slot, gen: sl.gen}
-}
-
 // AtArg schedules fn to run at absolute time t with the given
-// payload. The func value is typically shared across many events, so
-// — unlike a capturing closure passed to At — scheduling allocates
-// nothing beyond the pooled event record.
-func (s *Sim) AtArg(t float64, fn ArgEvent, arg int, x float64) Handle {
+// payload. Scheduling in the past panics: it is always a logic error
+// in the calling model. The func value is typically shared across many
+// events, so scheduling allocates nothing beyond the pooled event
+// record.
+func (s *Sim) AtArg(t float64, fn ArgEvent, arg int, x float64) {
 	s.checkTime(t)
-	sl, e := s.record(t)
-	sl.afn, sl.arg, sl.x = fn, arg, x
-	s.push(e)
-	return Handle{s: s, slot: e.slot, gen: sl.gen}
+	s.push(s.record(t, fn, arg, x))
 }
 
 // AtMonotone schedules a payload-carrying event on the monotone lane:
@@ -268,17 +202,14 @@ func (s *Sim) AtArg(t float64, fn ArgEvent, arg int, x float64) Handle {
 // O(log pending). It panics if t is smaller than the previously
 // laned time — callers must only route genuinely sorted streams
 // (open-loop arrivals, trace replays) here. Relative firing order
-// against heap-scheduled events is exactly as if At had been used.
-func (s *Sim) AtMonotone(t float64, fn ArgEvent, arg int, x float64) Handle {
+// against heap-scheduled events is exactly as if AtArg had been used.
+func (s *Sim) AtMonotone(t float64, fn ArgEvent, arg int, x float64) {
 	s.checkTime(t)
 	l := &s.lanes[arrivalLane]
 	if tail := l.tail(); t < tail {
 		panic(fmt.Sprintf("des: AtMonotone time %v before laned %v", t, tail))
 	}
-	sl, e := s.record(t)
-	sl.afn, sl.arg, sl.x = fn, arg, x
-	l.append(e)
-	return Handle{s: s, slot: e.slot, gen: sl.gen}
+	l.append(s.record(t, fn, arg, x))
 }
 
 // AtSorted schedules a payload-carrying event like AtArg, on a second
@@ -286,25 +217,24 @@ func (s *Sim) AtMonotone(t float64, fn ArgEvent, arg int, x float64) Handle {
 // and on the heap otherwise. It suits streams that are sorted almost
 // always — a fixed-delay reissue timer per arrival — and costs O(1)
 // on the lane. Firing order is exactly as if AtArg had been used.
-func (s *Sim) AtSorted(t float64, fn ArgEvent, arg int, x float64) Handle {
+func (s *Sim) AtSorted(t float64, fn ArgEvent, arg int, x float64) {
 	s.checkTime(t)
-	sl, e := s.record(t)
-	sl.afn, sl.arg, sl.x = fn, arg, x
+	e := s.record(t, fn, arg, x)
 	if l := &s.lanes[sortedLane]; t >= l.tail() {
 		l.append(e)
 	} else {
 		s.push(e)
 	}
-	return Handle{s: s, slot: e.slot, gen: sl.gen}
 }
 
-// record claims a pooled event record for a new event at time t and
-// returns it with the event's (time, seq) key, consuming one seq.
-func (s *Sim) record(t float64) (*slot, entry) {
+// record stores a new event at time t in a pooled event record and
+// returns its (time, seq) key, consuming one seq.
+func (s *Sim) record(t float64, fn ArgEvent, arg int, x float64) entry {
 	idx := s.alloc()
+	s.slab[idx] = slot{fn: fn, arg: arg, x: x}
 	e := entry{time: t, seq: s.seq, slot: idx}
 	s.seq++
-	return &s.slab[idx], e
+	return e
 }
 
 // peek returns the globally (time, seq)-minimal pending entry and its
@@ -339,11 +269,11 @@ func (s *Sim) take(src int) {
 
 // AfterArg schedules a payload-carrying event delay time units from
 // now.
-func (s *Sim) AfterArg(delay float64, fn ArgEvent, arg int, x float64) Handle {
+func (s *Sim) AfterArg(delay float64, fn ArgEvent, arg int, x float64) {
 	if delay < 0 {
 		panic(fmt.Sprintf("des: negative delay %v", delay))
 	}
-	return s.AtArg(s.now+delay, fn, arg, x)
+	s.AtArg(s.now+delay, fn, arg, x)
 }
 
 // 4-ary heap over (time, seq). Flatter than a binary heap, it halves
@@ -411,39 +341,30 @@ func (s *Sim) popMin() entry {
 	return min
 }
 
-// fire executes the event in the given slot at time t, releasing the
-// slot before the callback runs so the callback can schedule new
-// events into it.
+// fire executes the event in the given slot at time t, returning the
+// slot to the free list before the callback runs so the callback can
+// schedule new events into it.
 func (s *Sim) fire(e entry) {
 	sl := &s.slab[e.slot]
-	fn, afn, arg, x := sl.fn, sl.afn, sl.arg, sl.x
-	s.release(e.slot)
+	fn, arg, x := sl.fn, sl.arg, sl.x
+	sl.fn = nil
+	s.free = append(s.free, e.slot)
 	s.now = e.time
 	s.fired++
-	if afn != nil {
-		afn(s.now, arg, x)
-	} else {
-		fn(s.now)
-	}
+	fn(s.now, arg, x)
 }
 
 // Step fires the next pending event, advancing the clock. It returns
 // false when no events remain.
 func (s *Sim) Step() bool {
-	for {
-		p, src := s.peek()
-		if p == nil {
-			return false
-		}
-		e := *p
-		s.take(src)
-		if s.slab[e.slot].dead {
-			s.release(e.slot)
-			continue
-		}
-		s.fire(e)
-		return true
+	p, src := s.peek()
+	if p == nil {
+		return false
 	}
+	e := *p
+	s.take(src)
+	s.fire(e)
+	return true
 }
 
 // Run fires events until the event list drains.
@@ -463,11 +384,6 @@ func (s *Sim) RunUntil(tEnd float64) {
 			break
 		}
 		e := *p
-		if s.slab[e.slot].dead {
-			s.take(src)
-			s.release(e.slot)
-			continue
-		}
 		if e.time > tEnd {
 			break
 		}

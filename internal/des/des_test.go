@@ -7,12 +7,18 @@ import (
 	"repro/internal/stats"
 )
 
+// at schedules fn at time t through AtArg, for tests that want a
+// closure per event.
+func at(s *Sim, t float64, fn func(now float64)) {
+	s.AtArg(t, func(now float64, _ int, _ float64) { fn(now) }, 0, 0)
+}
+
 func TestEventsFireInTimeOrder(t *testing.T) {
 	s := New()
 	var order []float64
 	for _, tm := range []float64{5, 1, 3, 2, 4} {
 		tm := tm
-		s.At(tm, func(now float64) { order = append(order, now) })
+		at(s, tm, func(now float64) { order = append(order, now) })
 	}
 	s.Run()
 	want := []float64{1, 2, 3, 4, 5}
@@ -34,7 +40,7 @@ func TestTieBreakBySchedulingOrder(t *testing.T) {
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		s.At(7, func(float64) { order = append(order, i) })
+		at(s, 7, func(float64) { order = append(order, i) })
 	}
 	s.Run()
 	for i, v := range order {
@@ -46,38 +52,13 @@ func TestTieBreakBySchedulingOrder(t *testing.T) {
 
 func TestAfterRelative(t *testing.T) {
 	s := New()
-	var at float64
-	s.At(10, func(now float64) {
-		s.AfterArg(5, func(now2 float64, _ int, _ float64) { at = now2 }, 0, 0)
+	var got float64
+	at(s, 10, func(now float64) {
+		s.AfterArg(5, func(now2 float64, _ int, _ float64) { got = now2 }, 0, 0)
 	})
 	s.Run()
-	if at != 15 {
-		t.Fatalf("After fired at %v, want 15", at)
-	}
-}
-
-func TestCancel(t *testing.T) {
-	s := New()
-	fired := false
-	h := s.At(1, func(float64) { fired = true })
-	h.Cancel()
-	if !cancelled(h) {
-		t.Fatal("handle not marked cancelled")
-	}
-	s.Run()
-	if fired {
-		t.Fatal("cancelled event fired")
-	}
-}
-
-func TestCancelFromEarlierEvent(t *testing.T) {
-	s := New()
-	fired := false
-	h := s.At(5, func(float64) { fired = true })
-	s.At(1, func(float64) { h.Cancel() })
-	s.Run()
-	if fired {
-		t.Fatal("event cancelled mid-run still fired")
+	if got != 15 {
+		t.Fatalf("After fired at %v, want 15", got)
 	}
 }
 
@@ -85,7 +66,7 @@ func TestRunUntil(t *testing.T) {
 	s := New()
 	count := 0
 	for i := 1; i <= 10; i++ {
-		s.At(float64(i), func(float64) { count++ })
+		at(s, float64(i), func(float64) { count++ })
 	}
 	s.RunUntil(5.5)
 	if count != 5 {
@@ -113,14 +94,14 @@ func TestRunUntilAdvancesIdleClock(t *testing.T) {
 
 func TestSchedulePastPanics(t *testing.T) {
 	s := New()
-	s.At(10, func(float64) {})
+	at(s, 10, func(float64) {})
 	s.Run()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("scheduling in the past did not panic")
 		}
 	}()
-	s.At(5, func(float64) {})
+	at(s, 5, func(float64) {})
 }
 
 func TestNegativeDelayPanics(t *testing.T) {
@@ -142,10 +123,10 @@ func TestCascadingEvents(t *testing.T) {
 	arrive = func(now float64) {
 		count++
 		if count < n {
-			s.At(now+1, arrive)
+			at(s, now+1, arrive)
 		}
 	}
-	s.At(0, arrive)
+	at(s, 0, arrive)
 	s.Run()
 	if count != n {
 		t.Fatalf("count = %d", count)
@@ -165,7 +146,7 @@ func TestOrderProperty(t *testing.T) {
 		var times []float64
 		for i := 0; i < n; i++ {
 			tm := float64(r.Intn(20))
-			s.At(tm, func(now float64) { times = append(times, now) })
+			at(s, tm, func(now float64) { times = append(times, now) })
 		}
 		s.Run()
 		for i := 1; i < len(times); i++ {
@@ -180,44 +161,13 @@ func TestOrderProperty(t *testing.T) {
 	}
 }
 
-// Property: cancelling a random subset fires exactly the complement.
-func TestCancelProperty(t *testing.T) {
-	f := func(seed uint64, nRaw uint8) bool {
-		n := int(nRaw%50) + 1
-		r := stats.NewRNG(seed)
-		s := New()
-		fired := make([]bool, n)
-		handles := make([]Handle, n)
-		for i := 0; i < n; i++ {
-			i := i
-			handles[i] = s.At(float64(r.Intn(10)), func(float64) { fired[i] = true })
-		}
-		cancelled := make([]bool, n)
-		for i := 0; i < n; i++ {
-			if r.Bool(0.5) {
-				handles[i].Cancel()
-				cancelled[i] = true
-			}
-		}
-		s.Run()
-		for i := 0; i < n; i++ {
-			if fired[i] == cancelled[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func BenchmarkScheduleAndRun(b *testing.B) {
+	cb := func(float64, int, float64) {}
 	for i := 0; i < b.N; i++ {
 		s := New()
 		r := stats.NewRNG(uint64(i))
 		for j := 0; j < 10000; j++ {
-			s.At(r.Float64()*1000, func(float64) {})
+			s.AtArg(r.Float64()*1000, cb, j, 0)
 		}
 		s.Run()
 	}

@@ -11,17 +11,14 @@ import (
 // modelEvent is one event in the reference model of the event list: a
 // plain slice ordered on demand by (time, seq).
 type modelEvent struct {
-	time      float64
-	seq       uint64
-	id        int
-	x         float64
-	cancelled bool
+	time float64
+	seq  uint64
+	id   int
+	x    float64
 }
 
 // refSim is the reference model: it keeps every pending event in a
-// slice and, at each step, takes the (time, seq)-minimal one, dropping
-// cancelled events lazily when they reach the head, exactly as the
-// engine documents.
+// slice and, at each step, takes the (time, seq)-minimal one.
 type refSim struct {
 	now     float64
 	seq     uint64
@@ -39,11 +36,9 @@ type firing struct {
 // event's callback.
 const childOffset = 1 << 20
 
-func (m *refSim) schedule(t float64, id int, x float64) *modelEvent {
-	e := &modelEvent{time: t, seq: m.seq, id: id, x: x}
+func (m *refSim) schedule(t float64, id int, x float64) {
+	m.pending = append(m.pending, &modelEvent{time: t, seq: m.seq, id: id, x: x})
 	m.seq++
-	m.pending = append(m.pending, e)
-	return e
 }
 
 // head returns the index of the (time, seq)-minimal pending event, or
@@ -75,17 +70,8 @@ func (m *refSim) fire(e *modelEvent) {
 }
 
 func (m *refSim) step() {
-	for {
-		i := m.head()
-		if i < 0 {
-			return
-		}
-		e := m.remove(i)
-		if e.cancelled {
-			continue
-		}
-		m.fire(e)
-		return
+	if i := m.head(); i >= 0 {
+		m.fire(m.remove(i))
 	}
 }
 
@@ -96,10 +82,6 @@ func (m *refSim) runUntil(tEnd float64) {
 			break
 		}
 		e := m.pending[i]
-		if e.cancelled {
-			m.remove(i)
-			continue
-		}
 		if e.time > tEnd {
 			break
 		}
@@ -116,18 +98,12 @@ func (m *refSim) reset() {
 	m.pending = m.pending[:0]
 }
 
-// scheduled pairs an engine handle with its model event.
-type scheduled struct {
-	h Handle
-	e *modelEvent
-}
-
 // TestEngineMatchesReferenceModel drives the engine and the reference
 // model through random mixes of AtArg, AtMonotone, AtSorted (in and
-// out of its lane's order), Cancel (including stale handles from
-// before a Reset), Step, RunUntil and Reset, with callbacks that
-// schedule further events, and requires the same firing sequence,
-// clock, fired count and pending count after every operation.
+// out of its lane's order), Step, RunUntil and Reset, with callbacks
+// that schedule further events, and requires the same firing
+// sequence, clock, fired count and pending count after every
+// operation.
 func TestEngineMatchesReferenceModel(t *testing.T) {
 	for seed := uint64(1); seed <= 150; seed++ {
 		t.Run(fmt.Sprint(seed), func(t *testing.T) { runModelSequence(t, seed) })
@@ -148,14 +124,10 @@ func runModelSequence(t *testing.T, seed uint64) {
 			s.AtSorted(now+x, cb, id+childOffset, 0)
 		}
 	}
-	var handles []scheduled
 	lastMono, lastSorted := 0.0, 0.0
 	nextID := 0
 	// grid keeps times on a coarse lattice so many events tie.
 	grid := func() float64 { return float64(r.Intn(6)) * 0.5 }
-	add := func(h Handle, e *modelEvent) {
-		handles = append(handles, scheduled{h, e})
-	}
 	for op := 0; op < 400; op++ {
 		id := nextID
 		nextID++
@@ -164,39 +136,34 @@ func runModelSequence(t *testing.T, seed uint64) {
 			x = 0.5 + grid()
 		}
 		var what string
-		switch k := r.Intn(20); {
+		switch k := r.Intn(17); {
 		case k < 4:
 			what = "AtArg"
 			tm := s.Now() + grid()
-			add(s.AtArg(tm, cb, id, x), m.schedule(tm, id, x))
+			s.AtArg(tm, cb, id, x)
+			m.schedule(tm, id, x)
 		case k < 7:
 			what = "AtMonotone"
 			tm := math.Max(s.Now(), lastMono) + grid()
 			lastMono = tm
-			add(s.AtMonotone(tm, cb, id, x), m.schedule(tm, id, x))
+			s.AtMonotone(tm, cb, id, x)
+			m.schedule(tm, id, x)
 		case k < 10:
 			what = "AtSorted in order"
 			tm := math.Max(s.Now(), lastSorted) + grid()
 			lastSorted = tm
-			add(s.AtSorted(tm, cb, id, x), m.schedule(tm, id, x))
+			s.AtSorted(tm, cb, id, x)
+			m.schedule(tm, id, x)
 		case k < 12:
 			what = "AtSorted out of order"
 			tm := s.Now() + grid()
-			add(s.AtSorted(tm, cb, id, x), m.schedule(tm, id, x))
-		case k < 15:
-			what = "Cancel"
-			if len(handles) > 0 {
-				c := handles[r.Intn(len(handles))]
-				c.h.Cancel()
-				if c.e != nil {
-					c.e.cancelled = true
-				}
-			}
-		case k < 17:
+			s.AtSorted(tm, cb, id, x)
+			m.schedule(tm, id, x)
+		case k < 14:
 			what = "Step"
 			s.Step()
 			m.step()
-		case k < 19:
+		case k < 16:
 			what = "RunUntil"
 			tEnd := s.Now() + grid()*2
 			s.RunUntil(tEnd)
@@ -206,11 +173,6 @@ func runModelSequence(t *testing.T, seed uint64) {
 			s.Reset()
 			m.reset()
 			lastMono, lastSorted = 0, 0
-			// Keep the stale handles: cancelling one must not touch an
-			// event scheduled after the Reset.
-			for i := range handles {
-				handles[i].e = nil
-			}
 		}
 		if !sameFirings(got, m.log) {
 			t.Fatalf("op %d (%s): fired %v, model %v", op, what, got, m.log)

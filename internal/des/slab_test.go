@@ -6,87 +6,44 @@ import (
 	"repro/internal/stats"
 )
 
-// cancelled reports whether h's event was cancelled and its record
-// not yet reclaimed: once the engine drops the record, the handle's
-// generation no longer matches and it reads false again.
-func cancelled(h Handle) bool {
-	if h.s == nil {
-		return false
-	}
-	sl := &h.s.slab[h.slot]
-	return sl.gen == h.gen && sl.dead
-}
-
-// Cancelling a handle after its event fired must be a no-op even when
-// the slot has been recycled for a different event: the generation
-// check keeps the stale handle from killing the new tenant.
-func TestCancelAfterFireIsNoOp(t *testing.T) {
+// A fired event's record goes back to the pool: scheduling and firing
+// one event at a time never grows the slab past one record.
+func TestSlotRecycledAfterFire(t *testing.T) {
 	s := New()
-	h1 := s.At(1, func(float64) {})
-	s.Run()
-	if cancelled(h1) {
-		t.Fatal("fired event reports cancelled")
+	fired := 0
+	cb := func(float64, int, float64) { fired++ }
+	for i := 0; i < 3; i++ {
+		s.AtArg(float64(i), cb, i, 0)
+		s.Run()
 	}
-	// The freed slot is reused for the next event.
-	fired := false
-	h2 := s.At(2, func(float64) { fired = true })
-	if h2.slot != h1.slot {
-		t.Fatalf("slot not recycled: first %d, second %d", h1.slot, h2.slot)
-	}
-	h1.Cancel() // stale generation: must not touch the new event
-	if cancelled(h2) {
-		t.Fatal("stale Cancel leaked onto the recycled slot")
-	}
-	s.Run()
-	if !fired {
-		t.Fatal("recycled event did not fire")
-	}
-}
-
-// A cancelled event's slot is reclaimed lazily; once reclaimed, the
-// old handle is stale on the recycled slot too.
-func TestGenerationGuardsRecycledCancelledSlot(t *testing.T) {
-	s := New()
-	h1 := s.At(1, func(float64) { t.Fatal("cancelled event fired") })
-	h1.Cancel()
-	if !cancelled(h1) {
-		t.Fatal("not cancelled before reclamation")
-	}
-	s.Run() // reclaims the dead record
-	if cancelled(h1) {
-		t.Fatal("handle still reports cancelled after slot reclamation")
-	}
-	fired := false
-	h2 := s.At(1, func(float64) { fired = true })
-	if h2.slot != h1.slot {
-		t.Fatalf("slot not recycled: first %d, second %d", h1.slot, h2.slot)
-	}
-	h1.Cancel()
-	s.Run()
-	if !fired {
-		t.Fatal("stale Cancel killed the recycled slot's event")
+	if fired != 3 || len(s.slab) != 1 {
+		t.Fatalf("fired %d events with %d slab records, want 3 and 1", fired, len(s.slab))
 	}
 }
 
 // Events at the same instant fire in scheduling order regardless of
-// how they were scheduled (At vs AtArg) and of heap layout.
+// how they were scheduled (AtArg, AtSorted or AtMonotone) and of heap
+// layout.
 func TestSameInstantOrderingMixedKinds(t *testing.T) {
 	s := New()
 	var order []int
 	record := func(_ float64, arg int, _ float64) { order = append(order, arg) }
-	const n = 100
+	const n = 99
 	for i := 0; i < n; i++ {
-		if i%2 == 0 {
+		switch i % 3 {
+		case 0:
 			s.AtArg(5, record, i, 0)
-		} else {
-			i := i
-			s.At(5, func(float64) { order = append(order, i) })
+		case 1:
+			s.AtSorted(5, record, i, 0)
+		default:
+			s.AtMonotone(5, record, i, 0)
 		}
 	}
 	// Interleave an earlier and a later event so the same-instant run
 	// is framed by other heap traffic.
-	s.At(1, func(float64) {})
-	s.At(9, func(float64) {})
+	nop := func(float64, int, float64) {}
+	s.AtArg(1, nop, 0, 0)
+	s.AtArg(9, nop, 0, 0)
 	s.Run()
 	if len(order) != n {
 		t.Fatalf("fired %d of %d same-instant events", len(order), n)
@@ -119,21 +76,23 @@ func TestAtArgPayload(t *testing.T) {
 	}
 }
 
-// Reset invalidates outstanding handles: a pre-Reset handle must not
-// cancel the event that now occupies its slot.
-func TestResetInvalidatesHandles(t *testing.T) {
+// Reset drops every pending event, on the heap and on both lanes, and
+// the events scheduled after it fire normally.
+func TestResetDropsPendingEvents(t *testing.T) {
 	s := New()
-	h := s.At(1, func(float64) {})
+	stale := func(float64, int, float64) { t.Fatal("pre-Reset event fired") }
+	s.AtArg(1, stale, 0, 0)
+	s.AtMonotone(1, stale, 0, 0)
+	s.AtSorted(1, stale, 0, 0)
 	s.Reset()
 	if s.Pending() != 0 || s.Now() != 0 || s.Fired() != 0 {
 		t.Fatalf("Reset left state: pending=%d now=%v fired=%d", s.Pending(), s.Now(), s.Fired())
 	}
 	fired := false
-	s.At(1, func(float64) { fired = true })
-	h.Cancel()
+	s.AtArg(1, func(float64, int, float64) { fired = true }, 0, 0)
 	s.Run()
 	if !fired {
-		t.Fatal("pre-Reset handle cancelled a post-Reset event")
+		t.Fatal("post-Reset event did not fire")
 	}
 }
 
@@ -196,26 +155,26 @@ func TestSortedLaneFallsBackToHeap(t *testing.T) {
 	}
 }
 
-// The slab engine must still interleave fresh scheduling from inside
-// callbacks with pending cancelled records (regression guard for slot
-// recycling during Step's lazy-drop loop).
+// Callbacks that schedule while their own record is being recycled
+// must not clobber pending events: every spawned event and every leaf
+// fires exactly once.
 func TestRecycleDuringRun(t *testing.T) {
 	s := New()
 	r := stats.NewRNG(42)
-	count := 0
-	var spawn func(now float64)
-	spawn = func(now float64) {
+	count, leaves := 0, 0
+	leaf := func(float64, int, float64) { leaves++ }
+	var spawn ArgEvent
+	spawn = func(now float64, _ int, _ float64) {
 		count++
 		if count < 1000 {
-			h := s.At(s.Now()+r.Float64(), func(float64) { t.Fatal("cancelled child fired") })
-			h.Cancel()
-			s.At(s.Now()+r.Float64(), spawn)
+			s.AtArg(now+r.Float64(), leaf, 0, 0)
+			s.AtArg(now+r.Float64(), spawn, 0, 0)
 		}
 	}
-	s.At(0, spawn)
+	s.AtArg(0, spawn, 0, 0)
 	s.Run()
-	if count != 1000 {
-		t.Fatalf("count = %d", count)
+	if count != 1000 || leaves != 999 {
+		t.Fatalf("count = %d, leaves = %d; want 1000 and 999", count, leaves)
 	}
 }
 
@@ -244,24 +203,6 @@ func TestMonotoneLaneInterleavesWithHeap(t *testing.T) {
 		if order[i] != want[i] {
 			t.Fatalf("merge order = %v, want %v", order, want)
 		}
-	}
-}
-
-// Lane events are cancellable like any other.
-func TestMonotoneLaneCancel(t *testing.T) {
-	s := New()
-	fired := 0
-	rec := func(_ float64, _ int, _ float64) { fired++ }
-	s.AtMonotone(1, rec, 0, 0)
-	h := s.AtMonotone(2, rec, 1, 0)
-	s.AtMonotone(3, rec, 2, 0)
-	h.Cancel()
-	if s.Pending() != 3 {
-		t.Fatalf("pending = %d, want 3 (lazy cancel)", s.Pending())
-	}
-	s.Run()
-	if fired != 2 {
-		t.Fatalf("fired = %d, want 2", fired)
 	}
 }
 
