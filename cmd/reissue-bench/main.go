@@ -326,7 +326,7 @@ func batchedBench(sc experiments.Scale) func() error {
 			ArrivalRate: 0.5 * 4 / w.MeanServiceMS(),
 			Queries:     sc.Queries - warmup,
 			Warmup:      warmup,
-			Source:      inference.TraceSource(w.Times),
+			Source:      &cluster.TraceSource{Times: w.Times},
 			Discipline:  cluster.Batch,
 			Batch:       w.BatchConfig(4, 2),
 			Seed:        sc.Seed,

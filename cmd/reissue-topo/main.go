@@ -13,7 +13,19 @@
 // arrival rate and seed, and checks the per-slot reissue rates and
 // tier rates against the live ones. Presets with a fan-out sweep
 // -shards; presets with a tier sweep -hit-rates × -tier-delays; the
-// fleet preset has one point.
+// fleet preset sweeps -faults × -batch-sizes, one point by default.
+//
+// A -faults entry kind:severity scripts replica 1 of the fleet, the
+// same script in both worlds, and the simulator check then covers
+// failure rates and breaker verdicts too. Severity s in (0, 1] maps as:
+//
+//	crash:      the replica is dead for the last s of the measured
+//	            queries (breaker armed: evict, probe, re-route)
+//	error-rate: each copy on the replica fails with probability s
+//	slow:       the replica's latency is stretched 1 + 3s times
+//
+// A -batch-sizes entry B serves every replica in batches of up to B
+// (internal/sched's Batch discipline, in both worlds).
 //
 // Examples:
 //
@@ -25,6 +37,12 @@
 //
 //	# the same fleet as 4 HTTP replica servers on loopback
 //	reissue-topo -topo fleet -store-replicas 4 -http
+//
+//	# fault injection: an error-rate point and a crash point
+//	reissue-topo -topo fleet -store-replicas 4 -faults error-rate:0.2,crash:0.3
+//
+//	# batched inference serving at batch sizes 1 and 4
+//	reissue-topo -topo fleet -workload infer -batch-sizes 1,4 -util 0.4
 //
 //	# "The Tail at Scale" fan-out over 1, 2 and 4 shards
 //	reissue-topo -topo shard -shards 1,2,4
@@ -47,41 +65,48 @@ import (
 	"math"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"time"
 
+	"repro/internal/cluster"
+	"repro/internal/inference"
 	"repro/internal/kvstore"
 	"repro/internal/metrics"
+	"repro/internal/sched"
 	"repro/internal/searchengine"
 	"repro/internal/sweep"
 	"repro/reissue"
 	"repro/reissue/hedge/backend"
+	"repro/reissue/hedge/fault"
 	"repro/reissue/hedge/topo"
 )
 
 type options struct {
-	shape    string // preset name, a key of presets
-	workload string
-	shards   string // comma-separated fan-out widths
-	cacheR   int
-	storeR   int
-	slow     float64
-	http     bool
-	hitRates string
-	delays   string
-	queries  int
-	warmup   int
-	util     float64
-	k        float64
-	budget   float64
-	unitMS   float64
-	minMS    float64
-	seed     uint64
-	sim      bool
-	workers  int
-	progress bool
+	shape      string // preset name, a key of presets
+	workload   string
+	shards     string // comma-separated fan-out widths
+	cacheR     int
+	storeR     int
+	slow       float64
+	http       bool
+	hitRates   string
+	delays     string
+	faults     string // comma-separated kind:severity (fleet preset)
+	batchSizes string // comma-separated batch sizes (fleet preset)
+	queries    int
+	warmup     int
+	util       float64
+	k          float64
+	budget     float64
+	unitMS     float64
+	minMS      float64
+	seed       uint64
+	sim        bool
+	workers    int
+	progress   bool
 }
 
 // preset is one named composition: which grid axes it sweeps, its
@@ -145,11 +170,39 @@ var presets = map[string]preset{
 	},
 }
 
+// plainFleet reports whether the preset is one root fleet, the only
+// shape that sweeps -faults (a fault script is allowed only on a root
+// fleet) and -batch-sizes.
+func (p preset) plainFleet() bool { return !p.fanOut && !p.tiered }
+
 // gridPoint is one sweep point; axes a preset does not sweep are zero.
 type gridPoint struct {
 	shards     int
 	hit, delay float64
+	fault      faultPoint
+	batch      int // batch size, 0 = FIFO
 }
+
+// faultPoint is one -faults entry; the zero value is no fault.
+type faultPoint struct {
+	kind     string
+	severity float64
+}
+
+// The -faults crash axis arms the breaker with these settings, and
+// the -batch-sizes axis lingers this long: one value of each is used.
+const (
+	breakerThreshold  = 5
+	breakerCooldownMS = 400.0
+	batchLingerMS     = 2.0
+)
+
+// batchCost is the inference workload's default batch cost model,
+// applied to every workload's batches.
+var batchCost = sched.BatchCost{Scale: 0.15, PerItem: 0.05}
+
+// faultKinds are the -faults profile kinds.
+var faultKinds = []string{"crash", "error-rate", "slow"}
 
 // label names the point by the axes its preset sweeps.
 func (g gridPoint) label(p preset) string {
@@ -160,8 +213,14 @@ func (g gridPoint) label(p preset) string {
 	if p.tiered {
 		parts = append(parts, fmt.Sprintf("hit %.2f, tier delay %s", g.hit, fmtDelay(g.delay)))
 	}
-	if len(parts) == 0 {
-		return "fleet"
+	if p.plainFleet() {
+		parts = append(parts, "fleet")
+		if g.fault.kind != "" {
+			parts = append(parts, fmt.Sprintf("%s %.2f", g.fault.kind, g.fault.severity))
+		}
+		if g.batch > 0 {
+			parts = append(parts, fmt.Sprintf("B=%d", g.batch))
+		}
 	}
 	return strings.Join(parts, ", ")
 }
@@ -176,13 +235,17 @@ type sweepPoint struct {
 	tierDiff                         float64 // max |live-sim| over tier nodes, baseline run
 	leafDiff                         float64 // max |live-sim| over fleet slots, anchored run
 	tunedRate                        float64 // mean live reissue rate over the tuned slots, tuned run
-	warn                             bool
+	// Faulted points only, anchored run: the failure rates and their
+	// gap, and each world's per-replica breaker trips.
+	liveFail, simFail, failDiff float64
+	liveTrips, simTrips         []int
+	warn                        bool
 }
 
 func main() {
 	var o options
 	flag.StringVar(&o.shape, "topo", "tier-over-shards", `preset: "fleet" (one store fleet), "shard" (fan-out over -shards), "tier" (cache tier over one store fleet), "tier-over-shards" (cache tier shielding a sharded store) or "sharded-tiers" (fan-out of per-shard cache tiers)`)
-	flag.StringVar(&o.workload, "workload", "kv", "workload: kv, or search (presets without a tier)")
+	flag.StringVar(&o.workload, "workload", "kv", "workload: kv, search (presets without a tier) or infer (batched inference, -topo fleet)")
 	flag.StringVar(&o.shards, "shards", "2", "comma-separated fan-out widths to sweep (presets with a fan-out)")
 	flag.IntVar(&o.cacheR, "cache-replicas", 2, "replicas per cache fleet")
 	flag.IntVar(&o.storeR, "store-replicas", 3, "replicas per store fleet (the fleet of -topo fleet, the shard fleets of -topo shard)")
@@ -196,6 +259,8 @@ func main() {
 	// band (see the topo agreement test's conventions).
 	flag.StringVar(&o.hitRates, "hit-rates", "0.5,0.65", "comma-separated cache hit rates to sweep (presets with a tier)")
 	flag.StringVar(&o.delays, "tier-delays", "inf,4", "comma-separated tier-reissue delays in model-ms, inf = fall-through only (presets with a tier)")
+	flag.StringVar(&o.faults, "faults", "", "comma-separated kind:severity fault points on replica 1, kind crash, error-rate or slow, severity in (0, 1] (-topo fleet)")
+	flag.StringVar(&o.batchSizes, "batch-sizes", "", "comma-separated batch sizes to serve in, empty = FIFO (-topo fleet)")
 	flag.IntVar(&o.queries, "queries", 1000, "queries per run")
 	flag.IntVar(&o.warmup, "warmup", 150, "lead-in queries excluded from statistics")
 	flag.Float64Var(&o.util, "util", 0.28, "target nominal utilization at the first fleet (alphabetically)")
@@ -232,16 +297,55 @@ func parseFloats(spec string, allowInf bool) ([]float64, error) {
 	return out, nil
 }
 
-func parseShards(spec string) ([]int, error) {
+func parseCounts(spec string) ([]int, error) {
 	var out []int
 	for _, part := range strings.Split(spec, ",") {
 		s, err := strconv.Atoi(strings.TrimSpace(part))
 		if err != nil || s <= 0 {
-			return nil, fmt.Errorf("bad shard count %q (want positive integers, e.g. 1,2,4)", part)
+			return nil, fmt.Errorf("bad count %q (want positive integers, e.g. 1,2,4)", part)
 		}
 		out = append(out, s)
 	}
 	return out, nil
+}
+
+func parseFaults(spec string) ([]faultPoint, error) {
+	var out []faultPoint
+	for _, part := range strings.Split(spec, ",") {
+		kind, sev, ok := strings.Cut(strings.TrimSpace(part), ":")
+		v, err := strconv.ParseFloat(sev, 64)
+		if !ok || err != nil {
+			return nil, fmt.Errorf("bad fault %q (want kind:severity, e.g. error-rate:0.2)", part)
+		}
+		if !slices.Contains(faultKinds, kind) {
+			return nil, fmt.Errorf("unknown fault kind %q (want one of %s)", kind, strings.Join(faultKinds, ", "))
+		}
+		if !(v > 0 && v <= 1) {
+			return nil, fmt.Errorf("fault severity %v outside (0, 1]", v)
+		}
+		out = append(out, faultPoint{kind, v})
+	}
+	return out, nil
+}
+
+// faultPlan scripts one -faults entry on replica 1 (replica 0 of a
+// one-replica fleet); nil for the zero entry.
+func faultPlan(o options, f faultPoint) *cluster.FaultPlan {
+	victim := min(1, o.storeR-1)
+	switch f.kind {
+	case "crash":
+		from := o.queries - int(f.severity*float64(o.queries-o.warmup))
+		return &cluster.FaultPlan{
+			Profiles:         []fault.Profile{{Replica: victim, Kind: fault.Crash, From: from}},
+			BreakerThreshold: breakerThreshold,
+			BreakerCooldown:  breakerCooldownMS,
+		}
+	case "error-rate":
+		return &cluster.FaultPlan{Profiles: []fault.Profile{{Replica: victim, Kind: fault.ErrorRate, Rate: f.severity, Seed: o.seed + 9}}}
+	case "slow":
+		return &cluster.FaultPlan{Profiles: []fault.Profile{{Replica: victim, Kind: fault.Slow, Factor: 1 + 3*f.severity}}}
+	}
+	return nil
 }
 
 func speeds(replicas int, slow float64) []float64 {
@@ -266,10 +370,24 @@ func fmtDelay(d float64) string {
 // grid flattens the axes the preset sweeps into points, in flag order.
 func grid(o options, p preset) ([]gridPoint, error) {
 	shards, hits, delays := []int{0}, []float64{0}, []float64{0}
+	faults, batches := []faultPoint{{}}, []int{0}
 	var err error
 	if p.fanOut {
-		if shards, err = parseShards(o.shards); err != nil {
+		if shards, err = parseCounts(o.shards); err != nil {
 			return nil, fmt.Errorf("-shards: %w", err)
+		}
+	}
+	if (o.faults != "" || o.batchSizes != "") && !p.plainFleet() {
+		return nil, fmt.Errorf("-faults and -batch-sizes apply only to -topo fleet")
+	}
+	if o.faults != "" {
+		if faults, err = parseFaults(o.faults); err != nil {
+			return nil, fmt.Errorf("-faults: %w", err)
+		}
+	}
+	if o.batchSizes != "" {
+		if batches, err = parseCounts(o.batchSizes); err != nil {
+			return nil, fmt.Errorf("-batch-sizes: %w", err)
 		}
 	}
 	if p.tiered {
@@ -289,7 +407,11 @@ func grid(o options, p preset) ([]gridPoint, error) {
 	for _, s := range shards {
 		for _, h := range hits {
 			for _, d := range delays {
-				out = append(out, gridPoint{s, h, d})
+				for _, f := range faults {
+					for _, b := range batches {
+						out = append(out, gridPoint{s, h, d, f, b})
+					}
+				}
 			}
 		}
 	}
@@ -312,8 +434,14 @@ func workload(o options) (topo.Workload, error) {
 			Corpus:     searchengine.CorpusConfig{NumDocs: 4000, VocabSize: 4000, Seed: o.seed},
 			NumQueries: o.queries, Seed: o.seed,
 		}), nil
+	case "infer":
+		w, err := inference.Generate(inference.Config{Requests: o.queries, Seed: o.seed})
+		if err != nil {
+			return nil, err
+		}
+		return topo.Inference(w), nil
 	default:
-		return nil, fmt.Errorf("unknown workload %q (want kv or search)", o.workload)
+		return nil, fmt.Errorf("unknown workload %q (want kv, search or infer)", o.workload)
 	}
 }
 
@@ -411,7 +539,13 @@ func runPoint(o options, p preset, out io.Writer, w topo.Workload, g gridPoint, 
 	if p.slowCache {
 		cache.SpeedFactors = speeds(o.cacheR, o.slow)
 	}
-	store := topo.Spec{Fleet: &topo.FleetSpec{Replicas: o.storeR, SpeedFactors: speeds(o.storeR, o.slow), HTTP: o.http}}
+	store := topo.Spec{Fleet: &topo.FleetSpec{
+		Replicas: o.storeR, SpeedFactors: speeds(o.storeR, o.slow), HTTP: o.http,
+		Faults: faultPlan(o, g.fault),
+	}}
+	if g.batch > 0 {
+		store.Fleet.Batch = &sched.BatchConfig{Size: g.batch, LingerMS: batchLingerMS, Cost: batchCost}
+	}
 	tp, err := topo.Build(w, p.spec(g, cache, store), topo.Options{Unit: unit, MinServiceMS: minMS, Seed: o.seed ^ 0x7071})
 	if err != nil {
 		return nil, err
@@ -461,9 +595,17 @@ func runPoint(o options, p preset, out io.Writer, w topo.Workload, g gridPoint, 
 		basePk:    liveBase.TailLatency(o.k), anchPk: liveAnch.TailLatency(o.k), tunedPk: liveTuned.TailLatency(o.k),
 		simBasePk: math.NaN(), simAnchPk: math.NaN(), simTunedPk: math.NaN(),
 		tierRate: math.NaN(), tierDiff: math.NaN(), leafDiff: math.NaN(), tunedRate: math.NaN(),
+		liveFail: liveAnch.FailureRate, simFail: math.NaN(), failDiff: math.NaN(),
+		liveTrips: liveAnch.BreakerTrips,
 	}
+	faulted := g.fault.kind != ""
 	fmt.Fprintf(out, "live: baseline P%.0f=%6.1f -> anchored P%.0f=%6.1f -> tuned P%.0f=%6.1f model-ms\n",
 		o.k*100, pt.basePk, o.k*100, pt.anchPk, o.k*100, pt.tunedPk)
+	if faulted {
+		fmt.Fprintf(out, "live: failure rate baseline %.4f, anchored %.4f, tuned %.4f\n",
+			liveBase.FailureRate, liveAnch.FailureRate, liveTuned.FailureRate)
+		printBreaker(out, "live:", liveAnch)
+	}
 	for _, slot := range sortedKeys(tuned.Policies) {
 		fmt.Fprintf(out, "live: slot %-16q tuned to %v from the baseline log at budget %.3f\n", slot, tuned.Policies[slot], o.budget)
 	}
@@ -514,17 +656,31 @@ func runPoint(o options, p preset, out io.Writer, w topo.Workload, g gridPoint, 
 		for slot, r := range anchSlots {
 			pt.leafDiff = math.Max(pt.leafDiff, math.Abs(r-simSlots[slot]))
 		}
-		pt.warn = pt.tierDiff > metrics.AgreementBand || pt.leafDiff > metrics.AgreementBand
+		pt.simFail, pt.simTrips = simAnch.FailureRate, simAnch.BreakerTrips
+		pt.failDiff = math.Abs(pt.liveFail - pt.simFail)
+		pt.warn = pt.tierDiff > metrics.AgreementBand || pt.leafDiff > metrics.AgreementBand || pt.failDiff > metrics.AgreementBand
 		fmt.Fprintf(out, "sim:  baseline P%.0f=%6.1f -> anchored P%.0f=%6.1f -> tuned P%.0f=%6.1f model-ms (same arrival rate and seed, traces, hit streams)\n",
 			o.k*100, pt.simBasePk, o.k*100, pt.simAnchPk, o.k*100, pt.simTunedPk)
 		for _, slot := range sortedKeys(anchSlots) {
 			fmt.Fprintf(out, "sim:  slot %-16q anchored rate live %.4f sim %.4f\n", slot, anchSlots[slot], simSlots[slot])
 		}
-		fmt.Fprintf(out, "sim:  max |live-sim| tier rate %.4f, slot rate %.4f (tolerance %.3f)%s\n",
-			pt.tierDiff, pt.leafDiff, metrics.AgreementBand,
+		if faulted {
+			fmt.Fprintf(out, "sim:  anchored failure rate live %.4f sim %.4f\n", pt.liveFail, pt.simFail)
+			printBreaker(out, "sim: ", simAnch)
+		}
+		fmt.Fprintf(out, "sim:  max |live-sim| tier rate %.4f, slot rate %.4f, failure rate %.4f (tolerance %.3f)%s\n",
+			pt.tierDiff, pt.leafDiff, pt.failDiff, metrics.AgreementBand,
 			map[bool]string{true: "  WARNING: beyond tolerance", false: ""}[pt.warn])
 	}
 	return pt, nil
+}
+
+// printBreaker reports a run's breaker verdicts, if its fleet has a
+// breaker.
+func printBreaker(out io.Writer, world string, r *topo.Result) {
+	if r.BreakerTrips != nil {
+		fmt.Fprintf(out, "%s anchored breaker trips %v, open at end %v\n", world, r.BreakerTrips, r.BreakerOpen)
+	}
 }
 
 // isCache reports whether a slot is a tier's cache fleet.

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -353,4 +354,99 @@ func TestSlotPath(t *testing.T) {
 	if len(got) != 2 || math.Abs(got["store/shard"]-0.3) > 1e-12 || got["cache"] != 0.1 {
 		t.Errorf("slotRates merged to %v, want store/shard 0.3 and cache 0.1", got)
 	}
+}
+
+// faultPreset is the fleet preset at the fault sweep's smoke scale:
+// four replicas, one error-rate point.
+func faultPreset() options {
+	o := fleetPreset()
+	o.storeR = 4
+	o.slow = 2.5
+	o.faults = "error-rate:0.2"
+	o.queries, o.warmup = 200, 40
+	o.util = 0.24
+	o.unitMS = 0.2
+	return o
+}
+
+// TestRunFaultsSmoke: an error-rate point fails queries in the live
+// fleet and reports the failure rate in both worlds.
+func TestRunFaultsSmoke(t *testing.T) {
+	pts, out := runOK(t, faultPreset())
+	wantOutput(t, out, "fleet, error-rate 0.20", "live: failure rate", "sim:  anchored failure rate", "sweep summary")
+	if len(pts) != 1 {
+		t.Fatalf("sweep points = %+v", pts)
+	}
+	if pts[0].liveFail == 0 {
+		t.Error("error-rate point failed nothing — the injector is not in the path")
+	}
+}
+
+// TestRunCrashBreaker: a crash point trips exactly one breaker, on
+// the crashed replica 1, in both worlds.
+func TestRunCrashBreaker(t *testing.T) {
+	o := faultPreset()
+	o.faults = "crash:0.5"
+	pts, out := runOK(t, o)
+	wantOutput(t, out, "live: anchored breaker trips", "sim:  anchored breaker trips")
+	for world, trips := range map[string][]int{"live": pts[0].liveTrips, "sim": pts[0].simTrips} {
+		if !slices.Equal(trips, []int{0, 1, 0, 0}) {
+			t.Errorf("%s breaker trips = %v, want exactly one on the crashed replica 1", world, trips)
+		}
+	}
+}
+
+func TestRunFaultsNoSim(t *testing.T) {
+	o := faultPreset()
+	o.sim = false
+	_, out := runOK(t, o)
+	if strings.Contains(out, "sim:") {
+		t.Error("simulator pass printed with -sim=false")
+	}
+}
+
+func TestRunFaultsValidation(t *testing.T) {
+	wantRejected(t, faultPreset(), map[string]func(*options){
+		"unknown fault kind": func(o *options) { o.faults = "meteor:0.2" },
+		"severity above 1":   func(o *options) { o.faults = "error-rate:1.5" },
+		"severity zero":      func(o *options) { o.faults = "slow:0" },
+		"malformed list":     func(o *options) { o.faults = "error-rate:0.2,x" },
+		"missing severity":   func(o *options) { o.faults = "crash" },
+		"faults on a shard":  func(o *options) { o.shape = "shard" },
+		"faults on a tier":   func(o *options) { o.shape = "tier" },
+		"warmup >= queries":  func(o *options) { o.warmup = o.queries },
+	})
+}
+
+// inferPreset is the fleet preset on the batched inference workload
+// at its smoke scale: one batch size, light load.
+func inferPreset() options {
+	o := fleetPreset()
+	o.workload = "infer"
+	o.batchSizes = "4"
+	o.queries, o.warmup = 200, 40
+	o.util = 0.4
+	o.unitMS = 0.3
+	return o
+}
+
+func TestRunInferSmoke(t *testing.T) {
+	pts, out := runOK(t, inferPreset())
+	wantOutput(t, out, "infer workload", "--- fleet, B=4:", "live:", "sim:", "sweep summary")
+	if len(pts) != 1 || pts[0].batch != 4 {
+		t.Fatalf("sweep points = %+v", pts)
+	}
+	if pts[0].basePk <= 0 || pts[0].simBasePk <= 0 {
+		t.Errorf("non-positive tail latency in %+v", pts[0])
+	}
+}
+
+func TestRunBatchValidation(t *testing.T) {
+	wantRejected(t, inferPreset(), map[string]func(*options){
+		"batch size zero":      func(o *options) { o.batchSizes = "0" },
+		"malformed sizes":      func(o *options) { o.batchSizes = "4,x" },
+		"batch sizes on shard": func(o *options) { o.shape = "shard" },
+		"infer on a tier":      func(o *options) { o.shape, o.batchSizes = "tier", "" },
+		"warmup >= queries":    func(o *options) { o.warmup = o.queries },
+	})
 }

@@ -38,7 +38,8 @@ type FaultPlan struct {
 	BreakerCooldown float64
 }
 
-func (fp *FaultPlan) validate(servers int) error {
+// Validate checks the plan against a fleet of the given size.
+func (fp *FaultPlan) Validate(servers int) error {
 	if servers <= 0 {
 		return fmt.Errorf("cluster: Faults requires finite Servers, got %d", servers)
 	}

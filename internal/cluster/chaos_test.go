@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/stats"
@@ -71,8 +72,8 @@ func TestChaosCrashBreakerDeterministic(t *testing.T) {
 	if res.ReroutedCopies == 0 {
 		t.Error("ReroutedCopies = 0, want copies steered off the dead server")
 	}
-	if res.FailedQueries != 3 {
-		t.Errorf("FailedQueries = %d, want the 3 pre-trip casualties", res.FailedQueries)
+	if len(res.Failed) != 3 {
+		t.Errorf("len(Failed) = %d, want the 3 pre-trip casualties", len(res.Failed))
 	}
 	if want := 3.0 / 2000.0; res.FailureRate != want {
 		t.Errorf("FailureRate = %v, want %v", res.FailureRate, want)
@@ -94,8 +95,8 @@ func TestChaosStallReissueRescues(t *testing.T) {
 	if res.StalledCopies == 0 {
 		t.Fatal("StalledCopies = 0, want the dead server's copies stalled")
 	}
-	if res.FailedQueries != 0 {
-		t.Errorf("FailedQueries = %d, want 0 — the reissue rescues every stalled primary", res.FailedQueries)
+	if len(res.Failed) != 0 {
+		t.Errorf("len(Failed) = %d, want 0 — the reissue rescues every stalled primary", len(res.Failed))
 	}
 	if got := res.Log.Len(); got != 1500 {
 		t.Errorf("log has %d records, want 1500", got)
@@ -115,7 +116,7 @@ func TestChaosErrorRateAndSlowDeterministic(t *testing.T) {
 		return mustCluster(t, chaosConfig(3000, plan)).RunDetailed(reissue.SingleR{D: 5, Q: 0.3})
 	}
 	a, b := run(), run()
-	if a.FaultedCopies != b.FaultedCopies || a.FailedQueries != b.FailedQueries ||
+	if a.FaultedCopies != b.FaultedCopies || len(a.Failed) != len(b.Failed) ||
 		a.FailureRate != b.FailureRate || a.ReissueRate != b.ReissueRate {
 		t.Errorf("chaos runs diverged: %+v vs %+v", a, b)
 	}
@@ -128,5 +129,60 @@ func TestChaosErrorRateAndSlowDeterministic(t *testing.T) {
 	cleanTail := stats.Summarize(clean.Log.ResponseTimes()).Max
 	if slowTail <= cleanTail {
 		t.Errorf("slow-fault max response %v <= clean max %v, want a stretched tail", slowTail, cleanTail)
+	}
+}
+
+// TestGraphLeafUnderFaults is the regression test for a graph leaf
+// whose FaultPlan fails queries: the leaf used to index its log by
+// position and panic on the missing records. A failed query must
+// read +Inf in the graph, its reissues must count in the leaf rate,
+// and a single-leaf graph must reproduce the plain Cluster's failure
+// rate, reissue rate and answered responses bit for bit.
+func TestGraphLeafUnderFaults(t *testing.T) {
+	const n, warmup = 500, 100
+	plan := &FaultPlan{Profiles: []fault.Profile{{Replica: 1, Kind: fault.ErrorRate, Rate: 0.6, Seed: 3}}}
+	pol := reissue.SingleR{D: 8, Q: 0.5}
+
+	cfg := chaosConfig(n, plan)
+	cfg.Warmup = warmup
+	want := mustCluster(t, cfg).RunDetailed(pol)
+	if len(want.Failed) == 0 {
+		t.Fatal("the fault plan failed no measured query; the test exercises nothing")
+	}
+
+	cfg.Queries, cfg.Warmup = n+warmup, 0
+	leaf, err := NewGraphLeaf("", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := NewGraph(leaf, n, warmup)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := g.Run(polConst(pol))
+
+	var answered []float64
+	failed := 0
+	for _, rt := range got.Query {
+		if math.IsInf(rt, 1) {
+			failed++
+			continue
+		}
+		answered = append(answered, rt)
+	}
+	if rate := float64(failed) / float64(n); rate != want.FailureRate {
+		t.Errorf("graph failure rate %v, cluster %v", rate, want.FailureRate)
+	}
+	if got.LeafRates[""] != want.ReissueRate {
+		t.Errorf("graph leaf reissue rate %v, cluster %v", got.LeafRates[""], want.ReissueRate)
+	}
+	rts := want.Log.ResponseTimes()
+	if len(answered) != len(rts) || len(got.LeafResp[""]) != len(rts) {
+		t.Fatalf("graph answered %d queries (leaf log %d), cluster %d", len(answered), len(got.LeafResp[""]), len(rts))
+	}
+	for i := range rts {
+		if answered[i] != rts[i] || got.LeafResp[""][i] != rts[i] {
+			t.Fatalf("answered query %d: graph %v (leaf log %v), cluster %v", i, answered[i], got.LeafResp[""][i], rts[i])
+		}
 	}
 }

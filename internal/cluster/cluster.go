@@ -292,7 +292,7 @@ func (c Config) validate() error {
 		}
 	}
 	if c.Faults != nil {
-		if err := c.Faults.validate(c.Servers); err != nil {
+		if err := c.Faults.Validate(c.Servers); err != nil {
 			return err
 		}
 	}
@@ -331,14 +331,15 @@ type Result struct {
 	// time of each fan-out batch: the maximum over its sub-requests'
 	// end-to-end responses.
 	FanOutResponses []float64
-	// FailedQueries counts measured queries that ended with no
-	// successful copy; FailureRate is FailedQueries over measured
-	// queries. Failed queries contribute no Log record (they have no
-	// response) but their dispatched reissues still count toward
+	// Failed holds one record per measured query that ended with no
+	// successful copy, in query order: its ID, Arrival and reissue
+	// fields, with Response +Inf. FailureRate is len(Failed) over
+	// measured queries. Failed queries have no Log record (they have
+	// no response) but their dispatched reissues still count toward
 	// ReissueRate — the live MeasuredSource counts dispatches the
-	// same way. Zero without Config.Faults.
-	FailedQueries int
-	FailureRate   float64
+	// same way. Empty without Config.Faults.
+	Failed      []trace.Record
+	FailureRate float64
 	// FaultedCopies, StalledCopies, ReroutedCopies, and
 	// RejectedCopies mirror the live injector's Snapshot accounting.
 	FaultedCopies, StalledCopies, ReroutedCopies, RejectedCopies int
@@ -971,15 +972,6 @@ func (c *Cluster) RunDetailed(p reissue.Policy) *Result {
 		if !q.measured {
 			continue
 		}
-		if rs.chaos != nil && !q.done {
-			// No copy of this query ever answered — a chaos failure.
-			// It has no response to log, but its dispatched reissues
-			// still count (the live MeasuredSource counts dispatches
-			// whether or not the copy later succeeds).
-			res.FailedQueries++
-			reissued += q.reissues
-			continue
-		}
 		rec := trace.Record{
 			ID:          int64(q.id),
 			Arrival:     q.arrival,
@@ -987,7 +979,6 @@ func (c *Cluster) RunDetailed(p reissue.Policy) *Result {
 			PrimaryDone: q.primaryDone,
 			Response:    q.response,
 		}
-		outcome := metrics.QueryOutcome{Primary: q.primaryResp}
 		if q.reissues > 0 {
 			reissued += q.reissues
 			rec.Reissued = true
@@ -995,6 +986,18 @@ func (c *Cluster) RunDetailed(p reissue.Policy) *Result {
 			rec.ReissueDelay = q.reissueDelay
 			rec.Reissue = q.reissueResp
 			rec.ReissueDone = q.reissueDone
+		}
+		if rs.chaos != nil && !q.done {
+			// No copy of this query ever answered — a chaos failure.
+			// It has no response to log, but its dispatched reissues
+			// still count (the live MeasuredSource counts dispatches
+			// whether or not the copy later succeeds).
+			rec.Response = math.Inf(1)
+			res.Failed = append(res.Failed, rec)
+			continue
+		}
+		outcome := metrics.QueryOutcome{Primary: q.primaryResp}
+		if q.reissues > 0 {
 			outcome.Reissued = true
 			outcome.ReissueDelay = q.reissueDelay
 			outcome.Reissue = q.reissueResp
@@ -1008,7 +1011,7 @@ func (c *Cluster) RunDetailed(p reissue.Policy) *Result {
 	}
 	res.ReissueRate = float64(reissued) / float64(cfg.Queries)
 	if rs.chaos != nil {
-		res.FailureRate = float64(res.FailedQueries) / float64(cfg.Queries)
+		res.FailureRate = float64(len(res.Failed)) / float64(cfg.Queries)
 		res.FaultedCopies = rs.chaos.failed
 		res.StalledCopies = rs.chaos.stalled
 		res.ReroutedCopies = rs.chaos.rerouted

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"repro/internal/stats"
+	"repro/internal/trace"
 	"repro/reissue"
 )
 
@@ -94,7 +95,12 @@ type GraphLeaf struct {
 	mask    *maskStack
 	total   int
 
-	last *Result
+	// last is the most recent run; resp and reissues are its
+	// per-query response times (+Inf for a query no copy answered)
+	// and dispatched reissue counts, indexed by query ID.
+	last     *Result
+	resp     []float64
+	reissues []int
 }
 
 // NewGraphLeaf builds a leaf over cfg. The graph runs every leaf over
@@ -130,11 +136,22 @@ func NewGraphLeaf(path string, cfg Config) (*GraphLeaf, error) {
 
 func (l *GraphLeaf) runAll(polFor func(string) reissue.Policy) []float64 {
 	l.last = l.cluster.RunDetailed(polFor(l.path))
-	rts := l.last.Log.ResponseTimes()
-	if len(rts) != l.total {
-		panic(fmt.Sprintf("cluster: graph leaf %q measured %d queries, want %d", l.path, len(rts), l.total))
+	// A failed query (under Config.Faults) has no Log record but a
+	// Failed one with Response +Inf, so records are placed by ID.
+	l.resp = make([]float64, l.total)
+	l.reissues = make([]int, l.total)
+	n := 0
+	for _, recs := range [2][]trace.Record{l.last.Log.Records, l.last.Failed} {
+		for _, rec := range recs {
+			l.resp[rec.ID] = rec.Response
+			l.reissues[rec.ID] = rec.Reissues
+		}
+		n += len(recs)
 	}
-	return rts
+	if n != l.total {
+		panic(fmt.Sprintf("cluster: graph leaf %q measured %d queries, want %d", l.path, n, l.total))
+	}
+	return l.resp
 }
 
 func (l *GraphLeaf) queries() int { return l.total }
@@ -145,21 +162,29 @@ func (l *GraphLeaf) addMask(shielded []bool) {
 
 func (l *GraphLeaf) collect(out *GraphResult, warmup int) {
 	var resp []float64
-	copies := 0
+	copies, dispatched := 0, 0
 	for i := warmup; i < l.total; i++ {
 		if l.mask.shieldedAt(i) {
 			continue
 		}
-		rec := l.last.Log.Records[i]
-		resp = append(resp, rec.Response)
-		copies += rec.Reissues
+		// A failed sub-query counts as dispatched and its reissues
+		// count, as in Result.ReissueRate; it has no response to log.
+		dispatched++
+		copies += l.reissues[i]
+		if !math.IsInf(l.resp[i], 1) {
+			resp = append(resp, l.resp[i])
+		}
 	}
 	rate := 0.0
-	if len(resp) > 0 {
-		rate = float64(copies) / float64(len(resp))
+	if dispatched > 0 {
+		rate = float64(copies) / float64(dispatched)
 	}
 	out.LeafRates[l.path] = rate
 	out.LeafResp[l.path] = resp
+	if l.last.BreakerTrips != nil {
+		out.BreakerTrips[l.path] = l.last.BreakerTrips
+		out.BreakerOpen[l.path] = l.last.BreakerOpen
+	}
 }
 
 // GraphShard max-merges its children: every child replays every
@@ -364,7 +389,8 @@ func NewGraph(root GraphNode, queries, warmup int) (*Graph, error) {
 // GraphResult is the outcome of one composed run.
 type GraphResult struct {
 	// Query holds the measured end-to-end response times in query
-	// order.
+	// order; a query no copy answered (a leaf under Config.Faults)
+	// reads +Inf.
 	Query []float64
 	// LeafRates maps each leaf's path to its within-fleet reissue
 	// rate: reissue copies over that leaf's dispatched sub-queries
@@ -372,12 +398,16 @@ type GraphResult struct {
 	LeafRates map[string]float64
 	// LeafResp maps each leaf's path to its dispatched sub-queries'
 	// response times in query order: every measured query the leaf
-	// served, skipping those an enclosing cache shielded.
+	// answered, skipping those an enclosing cache shielded.
 	LeafResp map[string][]float64
 	// TierRates maps each tier node's path to the fraction of its
 	// dispatched queries that sent a store sub-query — the statistic
 	// the tier's delay knob controls.
 	TierRates map[string]float64
+	// BreakerTrips and BreakerOpen map each breaker-armed leaf's path
+	// to its Result.BreakerTrips and Result.BreakerOpen.
+	BreakerTrips map[string][]int
+	BreakerOpen  map[string][]bool
 }
 
 // Run replays the graph once: polFor supplies each leaf's
@@ -388,10 +418,12 @@ type GraphResult struct {
 func (g *Graph) Run(polFor func(path string) reissue.Policy) *GraphResult {
 	resp := g.root.runAll(polFor)
 	out := &GraphResult{
-		Query:     append([]float64(nil), resp[g.warmup:]...),
-		LeafRates: map[string]float64{},
-		LeafResp:  map[string][]float64{},
-		TierRates: map[string]float64{},
+		Query:        append([]float64(nil), resp[g.warmup:]...),
+		LeafRates:    map[string]float64{},
+		LeafResp:     map[string][]float64{},
+		TierRates:    map[string]float64{},
+		BreakerTrips: map[string][]int{},
+		BreakerOpen:  map[string][]bool{},
 	}
 	g.root.collect(out, g.warmup)
 	return out

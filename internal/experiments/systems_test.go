@@ -72,6 +72,32 @@ func TestFigure7bLuceneShape(t *testing.T) {
 	}
 }
 
+// TestFigure7cShape: at every utilization the budget search must find
+// a budget in (0, MaxBudget] whose P99 beats the no-reissue P99 — the
+// paper's claim that reissue pays across 20–60% load when the budget
+// is tuned per load.
+func TestFigure7cShape(t *testing.T) {
+	for _, kind := range []SystemKind{Redis, Lucene} {
+		t.Run(kind.String(), func(t *testing.T) {
+			ts, err := runJobTables(TestScale(), Figure7cJob(kind, TestScale()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			tab := ts[0]
+			checkTable(t, tab, len(figure7cUtils))
+			for _, row := range tab.Rows {
+				util, budget, best, base := row[0], row[1], row[2], row[3]
+				if !(best < base) {
+					t.Errorf("util %v: best-budget P99 %v not below no-reissue P99 %v", util, best, base)
+				}
+				if !(budget > 0 && budget <= 0.5) {
+					t.Errorf("util %v: best budget %v outside (0, 0.5]", util, budget)
+				}
+			}
+		})
+	}
+}
+
 func TestFigure8Shape(t *testing.T) {
 	tab, err := Figure8(TestScale())
 	if err != nil {

@@ -12,14 +12,13 @@
 // searchengine): Generate builds a deterministic trace of model
 // service times, NewLive turns it into live goroutine replicas via
 // backend.NewCustom (each request executes a real token-mixing
-// computation inside its calibrated hold), and TraceSource feeds the
-// identical trace to the cluster simulator for cross-validation.
+// computation inside its calibrated hold), and the simulator replays
+// the identical trace through a cluster.TraceSource.
 package inference
 
 import (
 	"fmt"
 
-	"repro/internal/cluster"
 	"repro/internal/sched"
 	"repro/internal/stats"
 	"repro/reissue/hedge/backend"
@@ -156,11 +155,4 @@ func (w *Workload) exec(i int) (any, error) {
 // trace's times become the calibrated holds.
 func (w *Workload) NewLive(cfg backend.Config) (*backend.Cluster, error) {
 	return backend.NewCustom(w.Times, w.exec, cfg)
-}
-
-// TraceSource returns the simulator service-time source replaying
-// times — pass a live cluster's EffectiveModelTimes() for
-// cross-validation, or w.Times for a pure-simulator sweep.
-func TraceSource(times []float64) *cluster.TraceSource {
-	return &cluster.TraceSource{Times: times}
 }

@@ -140,7 +140,7 @@ func TestSimBatchedSmoke(t *testing.T) {
 		ArrivalRate: 0.5 * 2 / w.MeanServiceMS(),
 		Queries:     300,
 		Warmup:      50,
-		Source:      TraceSource(w.Times),
+		Source:      &cluster.TraceSource{Times: w.Times},
 		Discipline:  cluster.Batch,
 		Batch:       w.BatchConfig(4, 2),
 		Seed:        11,

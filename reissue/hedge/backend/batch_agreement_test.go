@@ -2,109 +2,28 @@ package backend
 
 import (
 	"context"
-	"math"
 	"testing"
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/metrics"
 	"repro/internal/sched"
 	"repro/reissue"
 	"repro/reissue/hedge"
 )
 
-// TestBatchSimLiveAgreement cross-validates the batched serving
-// regime between the goroutine runtime and the discrete-event
-// simulator, both running replicas through the shared scheduling
-// core (internal/sched).
-//
-// "rates": the statistical check of the non-batched agreement test,
-// under the Batch discipline — same trace, replica heterogeneity,
-// batch configuration, and open-loop Poisson rate; the same fixed
-// moderate-delay policy must reissue at the same rate in both
-// systems within the shared 0.025 band, and neither system may fail
-// a query.
-//
-// "membership": the exact check the explicit-arrival-schedule
-// machinery (cluster.Config.ArrivalTimes / backend.OpenLoopAt)
-// exists for — one shared schedule with a deterministic SingleD
-// policy on one replica, where both worlds must produce the
-// byte-identical sequence of batches, query by query and member by
-// member. The schedule is built so that batches 1–2 coalesce two
-// different queries' copies while batches 3–4 pin the
-// hedge-lands-in-own-batch hazard: with R=1 the hedged copy routes
-// to its primary's replica and joins the batch still lingering for
-// its primary.
+// TestBatchSimLiveAgreement is the exact check the explicit
+// arrival-schedule machinery (cluster.Config.ArrivalTimes /
+// backend.OpenLoopAt) exists for, in the batched serving regime: one
+// shared schedule with a deterministic SingleD policy on one replica,
+// where both worlds must produce the byte-identical sequence of
+// batches, query by query and member by member. The schedule is built
+// so that batches 1–2 coalesce two different queries' copies while
+// batches 3–4 pin the hedge-lands-in-own-batch hazard: with R=1 the
+// hedged copy routes to its primary's replica and joins the batch
+// still lingering for its primary. The statistical rate check under
+// Poisson arrivals is a topo fleet run (reissue/hedge/topo).
 func TestBatchSimLiveAgreement(t *testing.T) {
-	t.Run("rates", testBatchRateAgreement)
 	t.Run("membership", testBatchMembershipEquality)
-}
-
-func testBatchRateAgreement(t *testing.T) {
-	if testing.Short() {
-		t.Skip("live runs take wall-clock seconds")
-	}
-	const (
-		replicas = 4
-		rho      = 0.3
-		n        = 1500
-		warmup   = 250
-		liveUnit = 2 * time.Millisecond
-	)
-	speeds := []float64{1, 1, 1, 2.5}
-	bcfg := sched.BatchConfig{
-		Size: 4, LingerMS: 2,
-		Cost: sched.BatchCost{Scale: 0.15, PerItem: 0.05},
-	}
-	w := kvWorkload(t, n)
-	back, err := NewKV(w, Config{
-		Replicas: replicas, Unit: liveUnit, SpeedFactors: speeds,
-		MinServiceMS: 1.0,
-		Discipline:   sched.Batch, Batch: bcfg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lambda := back.ArrivalRate(rho)
-	// Fixed moderate-delay policy: the low-variance rate statistic,
-	// as in TestSimLiveAgreement.
-	pol := reissue.SingleR{D: 5, Q: 0.25}
-
-	liveSys := &LiveSystem{Back: back, N: n, Warmup: warmup, Lambda: lambda, Seed: 21}
-	live, err := liveSys.RunContext(context.Background(), pol)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := len(live.Query); got != n-warmup {
-		t.Fatalf("live failure rate nonzero: %d of %d measured queries responded", got, n-warmup)
-	}
-
-	sim, err := cluster.New(cluster.Config{
-		Servers:      replicas,
-		ArrivalRate:  lambda,
-		Queries:      n - warmup,
-		Warmup:       warmup,
-		Source:       &cluster.TraceSource{Times: back.EffectiveModelTimes()},
-		SpeedFactors: speeds,
-		Discipline:   cluster.Batch,
-		Batch:        bcfg,
-		Seed:         77,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	simRes := sim.RunDetailed(pol)
-
-	t.Logf("batched reissue rate: live %.4f, sim %.4f", live.ReissueRate, simRes.ReissueRate)
-	t.Logf("batched P99 model-ms: live %.2f, sim %.2f",
-		percentile(live.Query, 0.99), percentile(simRes.Log.ResponseTimes(), 0.99))
-	if simRes.FailedQueries != 0 {
-		t.Errorf("sim failure rate nonzero: %d failed queries", simRes.FailedQueries)
-	}
-	if d := math.Abs(live.ReissueRate - simRes.ReissueRate); d > metrics.AgreementBand {
-		t.Errorf("batched fixed-policy reissue rates disagree: live %.4f, sim %.4f (|d| %.4f > %.3f)",
-			live.ReissueRate, simRes.ReissueRate, d, metrics.AgreementBand)
-	}
 }
 
 // batchSchedule is the shared explicit arrival schedule for the

@@ -35,24 +35,37 @@
 // reissue.None: replica diversity lives inside the subgraph, and
 // reissue-the-whole-subtree has no simulator twin. The builder
 // rejects a policy on a composite slot.
+//
+// A root fleet may carry a fault script (FleetSpec.Faults), which both
+// worlds read through fault.Decide: the live run wraps the fleet in a
+// fault.Injector, the simulator leaf in the cluster.FaultPlan mirror.
+// Its slot then runs single-reissue policies only (None, SingleR,
+// SingleD), because the simulator keys a copy's fault stream by its
+// reissue ordinal, which equals the live attempt slot only when the
+// plan has one reissue.
 package topo
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"sort"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/inference"
 	"repro/internal/kvstore"
+	"repro/internal/sched"
 	"repro/internal/searchengine"
 	"repro/internal/stats"
 	"repro/reissue"
 	"repro/reissue/hedge"
 	"repro/reissue/hedge/backend"
+	"repro/reissue/hedge/fault"
 	"repro/reissue/hedge/shard"
 	"repro/reissue/hedge/tier"
 	"repro/reissue/hedge/transport"
@@ -82,6 +95,16 @@ type FleetSpec struct {
 	// transport.Client instead of in-process, with the wire overhead
 	// calibrated into the simulator's trace.
 	HTTP bool
+	// Faults is a fault script in model milliseconds, read by both
+	// worlds: RunLive wraps the fleet in a fresh fault.Injector on
+	// every run (breaker cooldown scaled by Unit), RunSim hands it to
+	// the simulator leaf. Only a root fleet may carry one, and its
+	// profiles may not stall: live losers run to completion, so a
+	// stalled copy would never drain.
+	Faults *cluster.FaultPlan
+	// Batch, when set, serves every replica under the sched.Batch
+	// discipline in both worlds; nil is FIFO.
+	Batch *sched.BatchConfig
 }
 
 // ShardSpec fans out over N shards, each running an identical child
@@ -220,7 +243,33 @@ func (s *searchWorkload) partition(n int) ([]Workload, error) {
 }
 
 func (s *searchWorkload) cacheView(kvstore.CacheConfig) (*kvstore.CacheWorkload, error) {
-	return nil, fmt.Errorf("a tier needs a kv workload (its cache is a kvstore cache view)")
+	return nil, errNoCacheView
+}
+
+var errNoCacheView = errors.New("a tier needs a kv workload (its cache is a kvstore cache view)")
+
+// Inference wraps a batched-inference workload, which only a fleet
+// node accepts: it has no partitioning and no cache view. A nil
+// workload yields nil, which Build rejects.
+func Inference(w *inference.Workload) Workload {
+	if w == nil {
+		return nil
+	}
+	return inferenceWorkload{w}
+}
+
+type inferenceWorkload struct{ w *inference.Workload }
+
+func (i inferenceWorkload) serve(cfg backend.Config) (*backend.Cluster, error) {
+	return i.w.NewLive(cfg)
+}
+
+func (inferenceWorkload) partition(int) ([]Workload, error) {
+	return nil, fmt.Errorf("an inference workload cannot be partitioned")
+}
+
+func (inferenceWorkload) cacheView(kvstore.CacheConfig) (*kvstore.CacheWorkload, error) {
+	return nil, errNoCacheView
 }
 
 // coinSalt decorrelates policy coins from the arrival stream — the
@@ -260,6 +309,8 @@ type node struct {
 	speeds   []float64
 	trace    []float64 // effective service times for the simulator twin
 	meanMS   float64   // nominal mean service time (utilization → rate)
+	faults   *cluster.FaultPlan
+	batch    *sched.BatchConfig
 
 	// Tier nodes.
 	delay float64
@@ -430,12 +481,33 @@ func (t *Topology) build(w Workload, spec Spec, path, slot string, saltP, saltS 
 }
 
 func (t *Topology) fleetConfig(fs FleetSpec) backend.Config {
-	return backend.Config{
+	cfg := backend.Config{
 		Replicas:     fs.Replicas,
 		Unit:         t.unit,
 		SpeedFactors: fs.SpeedFactors,
 		MinServiceMS: t.opt.MinServiceMS,
 	}
+	if fs.Batch != nil {
+		cfg.Discipline, cfg.Batch = sched.Batch, *fs.Batch
+	}
+	return cfg
+}
+
+// validateFaults checks a fleet's fault script: root fleet only,
+// in range for its replicas, and no stall.
+func validateFaults(plan *cluster.FaultPlan, path string, replicas int) error {
+	if path != "" {
+		return fmt.Errorf("faults are allowed only on a root fleet (the shard, tier and graph combinators have no agreed failure semantics)")
+	}
+	if err := plan.Validate(replicas); err != nil {
+		return err
+	}
+	for i, p := range plan.Profiles {
+		if p.Kind == fault.Stall {
+			return fmt.Errorf("fault profile %d stalls, and a stalled copy never drains from a live run", i)
+		}
+	}
+	return nil
 }
 
 // buildFleet materializes a fleet leaf: the in-process cluster (or
@@ -448,11 +520,18 @@ func (t *Topology) buildFleet(fs FleetSpec, mk func(backend.Config) (*backend.Cl
 	if err != nil {
 		return nil, fmt.Errorf("topo: fleet %q: %w", path, err)
 	}
+	if fs.Faults != nil {
+		if err := validateFaults(fs.Faults, path, back.Replicas()); err != nil {
+			return nil, fmt.Errorf("topo: fleet %q: %w", path, err)
+		}
+	}
 	n := &node{
 		kind: kindFleet, path: path, slot: slot, saltP: saltP, saltS: saltS,
 		replicas: back.Replicas(),
 		speeds:   back.SpeedFactors(),
 		meanMS:   back.MeanServiceMS(),
+		faults:   fs.Faults,
+		batch:    fs.Batch,
 	}
 	n.trace = back.EffectiveModelTimes()
 	if !fs.HTTP {
@@ -588,6 +667,15 @@ type Result struct {
 	// TierRates maps each tier node's concrete path to the fraction
 	// of its dispatched queries that sent a store sub-query.
 	TierRates map[string]float64
+	// FailureRate is the fraction of measured queries no copy
+	// answered (a faulted root fleet only); Query leaves them out.
+	FailureRate float64
+	// BreakerTrips and BreakerOpen are the root fleet's per-replica
+	// breaker outcome under a breaker-armed fault script, nil
+	// otherwise: closed→open trip counts, and whether each replica
+	// ended the run evicted (open or half-open).
+	BreakerTrips []int
+	BreakerOpen  []bool
 }
 
 // TailLatency returns the k-th quantile (k in (0,1)) of the
@@ -615,6 +703,13 @@ func (t *Topology) policies(m map[string]reissue.Policy) (func(slot string) reis
 		if k != kindFleet && p != nil {
 			if _, none := p.(reissue.None); !none {
 				return nil, fmt.Errorf("topo: slot %q is a composite edge — it must run reissue.None (replica diversity lives inside the subgraph, and reissuing a whole subtree has no simulator twin)", key)
+			}
+		}
+		if key == "" && t.root.faults != nil {
+			switch p.(type) {
+			case nil, reissue.None, reissue.SingleR, reissue.SingleD:
+			default:
+				return nil, fmt.Errorf("topo: the root fleet is faulted — it runs only None, SingleR or SingleD (fault streams are keyed by reissue ordinal), got %T", p)
 			}
 		}
 	}
@@ -757,8 +852,19 @@ func (t *Topology) RunLive(rs RunSpec) (*Result, error) {
 		return nil, err
 	}
 	var do func(ctx context.Context, i int) error
+	// failed marks the queries a faulted root fleet failed outright:
+	// expected outcomes, counted, not run-fatal driver errors.
+	var failed []atomic.Bool
+	var inj *fault.Injector
 	switch n := t.root; n.kind {
 	case kindFleet:
+		if n.faults != nil {
+			if inj, err = t.injector(n, rootSrc); err != nil {
+				return nil, err
+			}
+			rootSrc = inj
+			failed = make([]atomic.Bool, rs.N)
+		}
 		m := measure(n, rootSrc)
 		client, err := hedge.New(hedge.Config{
 			Policy:      polFor(""),
@@ -772,6 +878,11 @@ func (t *Topology) RunLive(rs RunSpec) (*Result, error) {
 		waiters = append(waiters, client.Wait)
 		do = func(ctx context.Context, i int) error {
 			_, err := client.Do(ctx, m.Request(i))
+			if err != nil && inj != nil && ctx.Err() == nil &&
+				!errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
+				failed[i].Store(true)
+				return nil
+			}
 			return err
 		}
 	default:
@@ -816,11 +927,44 @@ func (t *Topology) RunLive(rs RunSpec) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	out.Query = append([]float64(nil), lats[rs.Warmup:]...)
+	out.Query = make([]float64, 0, rs.N-rs.Warmup)
+	for i := rs.Warmup; i < rs.N; i++ {
+		if failed != nil && failed[i].Load() {
+			continue
+		}
+		out.Query = append(out.Query, lats[i])
+	}
+	out.FailureRate = failureRate(len(out.Query), rs.N-rs.Warmup)
+	if inj != nil && inj.Breaker() != nil {
+		b := inj.Breaker()
+		out.BreakerTrips = make([]int, t.root.replicas)
+		out.BreakerOpen = make([]bool, t.root.replicas)
+		for r := range out.BreakerTrips {
+			out.BreakerTrips[r] = b.Trips(r)
+			out.BreakerOpen[r] = b.State(r) != hedge.BreakerClosed
+		}
+	}
 	for _, p := range probes {
 		p(out)
 	}
 	return out, nil
+}
+
+// injector wraps a faulted fleet's source in a fresh fault.Injector,
+// its breaker cooldown converted from model ms to wall clock.
+func (t *Topology) injector(n *node, src backend.Source) (*fault.Injector, error) {
+	cfg := fault.Config{Replicas: n.replicas, Profiles: n.faults.Profiles}
+	if n.faults.BreakerThreshold > 0 {
+		cfg.Breaker = &hedge.BreakerConfig{
+			Threshold: n.faults.BreakerThreshold,
+			Cooldown:  time.Duration(n.faults.BreakerCooldown * float64(t.unit)),
+		}
+	}
+	inj, err := fault.New(src, cfg)
+	if err != nil {
+		return nil, fmt.Errorf("topo: fleet %q: %w", n.path, err)
+	}
+	return inj, nil
 }
 
 // RunSim replays the same trial on the virtual-time cluster twin: one
@@ -840,7 +984,7 @@ func (t *Topology) RunSim(rs RunSpec) (*Result, error) {
 	buildSim = func(n *node) (cluster.GraphNode, error) {
 		switch n.kind {
 		case kindFleet:
-			return cluster.NewGraphLeaf(n.path, cluster.Config{
+			cfg := cluster.Config{
 				Servers:      n.replicas,
 				SpeedFactors: n.speeds,
 				ArrivalRate:  rs.Lambda,
@@ -851,7 +995,12 @@ func (t *Topology) RunSim(rs RunSpec) (*Result, error) {
 				Seed:         rs.Seed,
 				PolicySeed:   n.saltP,
 				ServiceSeed:  n.saltS,
-			})
+				Faults:       n.faults,
+			}
+			if n.batch != nil {
+				cfg.Discipline, cfg.Batch = cluster.Batch, *n.batch
+			}
+			return cluster.NewGraphLeaf(n.path, cfg)
 		case kindShard:
 			children := make([]cluster.GraphNode, len(n.children))
 			for k, ch := range n.children {
@@ -883,7 +1032,24 @@ func (t *Topology) RunSim(rs RunSpec) (*Result, error) {
 		return nil, err
 	}
 	gr := g.Run(func(path string) reissue.Policy { return polFor(SlotOf(path)) })
-	return &Result{Query: gr.Query, LeafRates: gr.LeafRates, LeafResp: gr.LeafResp, TierRates: gr.TierRates}, nil
+	out := &Result{
+		Query:     make([]float64, 0, len(gr.Query)),
+		LeafRates: gr.LeafRates, LeafResp: gr.LeafResp, TierRates: gr.TierRates,
+		BreakerTrips: gr.BreakerTrips[""], BreakerOpen: gr.BreakerOpen[""],
+	}
+	for _, rt := range gr.Query {
+		if !math.IsInf(rt, 1) {
+			out.Query = append(out.Query, rt)
+		}
+	}
+	out.FailureRate = failureRate(len(out.Query), len(gr.Query))
+	return out, nil
+}
+
+// failureRate is the share of measured queries left unanswered,
+// computed as cluster.Result.FailureRate is.
+func failureRate(answered, measured int) float64 {
+	return float64(measured-answered) / float64(measured)
 }
 
 // Hits exposes the Bernoulli hit stream of the tier at the given

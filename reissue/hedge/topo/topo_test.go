@@ -7,9 +7,11 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/inference"
 	"repro/internal/kvstore"
 	"repro/internal/searchengine"
 	"repro/reissue"
+	"repro/reissue/hedge/fault"
 )
 
 // testWorkload builds one small kv workload shared by the fast tests.
@@ -53,6 +55,13 @@ func testSearch(n int) Workload {
 
 func TestBuildValidation(t *testing.T) {
 	w := KV(testWorkload(t, 40))
+	inf, err := inference.Generate(inference.Config{Requests: 40, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	faulted := func(replicas int, plan *cluster.FaultPlan) *FleetSpec {
+		return &FleetSpec{Replicas: replicas, Faults: plan}
+	}
 	cases := []struct {
 		name string
 		w    Workload
@@ -73,6 +82,15 @@ func TestBuildValidation(t *testing.T) {
 		{"search tier under shard", testSearch(40), Spec{Shard: &ShardSpec{N: 2, Child: Spec{Tier: &TierSpec{HitRate: 0.5, TierDelay: 4, Cache: FleetSpec{Replicas: 2}, Store: fleet(2)}}}}, "kv workload"},
 		{"nested search partition", testSearch(40), Spec{Shard: &ShardSpec{N: 2, Child: Spec{Shard: &ShardSpec{N: 2, Child: fleet(2)}}}}, "partitioned again"},
 		{"zero search shards", testSearch(40), Spec{Shard: &ShardSpec{N: 0, Child: fleet(2)}}, "at least one shard"},
+		{"faults under a shard", w, Spec{Shard: &ShardSpec{N: 2, Child: Spec{Fleet: faulted(2, crashPlan(10))}}}, "root fleet"},
+		{"faults on a cache", w, Spec{Tier: &TierSpec{HitRate: 0.5, TierDelay: 4, Cache: *faulted(2, crashPlan(10)), Store: fleet(2)}}, "root fleet"},
+		{"faults on a store", w, Spec{Tier: &TierSpec{HitRate: 0.5, TierDelay: 4, Cache: FleetSpec{Replicas: 2}, Store: Spec{Fleet: faulted(2, crashPlan(10))}}}, "root fleet"},
+		{"fault replica out of range", w, Spec{Fleet: faulted(1, crashPlan(10))}, "out of range"},
+		{"stall", w, Spec{Fleet: faulted(2, &cluster.FaultPlan{Profiles: []fault.Profile{{Replica: 0, Kind: fault.Stall}}})}, "stall"},
+		{"breaker without cooldown", w, Spec{Fleet: faulted(2, &cluster.FaultPlan{BreakerThreshold: 3})}, "BreakerCooldown"},
+		{"nil inference workload", Inference(nil), fleet(2), "empty workload"},
+		{"inference under a shard", Inference(inf), Spec{Shard: &ShardSpec{N: 2, Child: fleet(2)}}, "partitioned"},
+		{"inference under a tier", Inference(inf), Spec{Tier: &TierSpec{HitRate: 0.5, TierDelay: 4, Cache: FleetSpec{Replicas: 2}, Store: fleet(2)}}, "kv workload"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -174,6 +192,30 @@ func TestPolicyValidation(t *testing.T) {
 	}
 	if _, err := tp.RunSim(rs); err != nil {
 		t.Errorf("valid policies rejected: %v", err)
+	}
+
+	// A faulted slot runs single-reissue policies only: the simulator
+	// keys fault streams by reissue ordinal.
+	faulted, err := Build(KV(w), Spec{Fleet: &FleetSpec{Replicas: 3, Faults: crashPlan(10)}}, testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer faulted.Close()
+	double, err := reissue.DoubleR(2, 0.2, 4, 0.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []reissue.Policy{double, reissue.MultipleR{Delays: []float64{2}, Probs: []float64{0.3}}} {
+		rs.Policies = map[string]reissue.Policy{"": p}
+		if _, err := faulted.RunSim(rs); err == nil || !strings.Contains(err.Error(), "faulted") {
+			t.Errorf("%T on a faulted slot: got %v", p, err)
+		}
+	}
+	for _, p := range []reissue.Policy{reissue.None{}, reissue.SingleR{D: 2, Q: 0.2}, reissue.SingleD{D: 3}} {
+		rs.Policies = map[string]reissue.Policy{"": p}
+		if _, err := faulted.RunSim(rs); err != nil {
+			t.Errorf("%T on a faulted slot rejected: %v", p, err)
+		}
 	}
 }
 
