@@ -118,13 +118,14 @@ func TestAdoptStateNoops(t *testing.T) {
 
 // TestAdoptStateAllocFree pins the perf contract: after adoption, a
 // run on the new cluster performs no more allocation than a repeat
-// run on a single cluster (the warm steady state).
+// run on a single cluster (the warm steady state). The repeat calls
+// simulate, as RunDetailed would return the remembered run.
 func TestAdoptStateAllocFree(t *testing.T) {
 	cfg := queueingCfg(7)
 	single := mustCluster(t, cfg)
 	single.RunDetailed(reissue.None{})
 	baseline := testing.AllocsPerRun(3, func() {
-		single.RunDetailed(reissue.None{})
+		single.simulate(reissue.None{})
 	})
 
 	warm := mustCluster(t, cfg)

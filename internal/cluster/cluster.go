@@ -209,9 +209,11 @@ type Config struct {
 	// DistSource (stateless sampling from the stream, unlike a
 	// TraceSource or a graph leaf's masked source, whose service
 	// times can change between runs); and the engine was not adopted
-	// (AdoptState) since the draw. Results are bit-identical either
-	// way. A DistSource's Dist must therefore sample from the RNG
-	// alone, as every stats distribution does.
+	// (AdoptState) since the draw. A Cluster attached to a DrawTable
+	// also replays, on its first run, a draw another Cluster stored
+	// there. Results are bit-identical either way. A DistSource's
+	// Dist must therefore sample from the RNG alone, as every stats
+	// distribution does.
 	FreshPerRun bool
 }
 
@@ -372,6 +374,17 @@ type Cluster struct {
 	cfg  Config
 	runs uint64
 	rs   *runState // pooled simulation state, reused across runs
+
+	// draws, when set, shares this Cluster's workload draw with the
+	// other Clusters of a sweep pass (see DrawTable).
+	draws *DrawTable
+
+	// recallable is recallable(&cfg); recent holds the last recallRuns
+	// simulated runs that RunDetailed may return again, nextRecall the
+	// slot the next one overwrites.
+	recallable bool
+	recent     [recallRuns]recalled
+	nextRecall int
 }
 
 // New validates the configuration and returns a Cluster.
@@ -385,7 +398,7 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.Connections <= 0 {
 		cfg.Connections = 20
 	}
-	return &Cluster{cfg: cfg}, nil
+	return &Cluster{cfg: cfg, recallable: recallable(&cfg)}, nil
 }
 
 // Config returns the cluster's configuration.
@@ -859,7 +872,32 @@ func (rs *runState) scheduleInterference(horizon float64, root *stats.RNG) {
 
 // RunDetailed simulates one run under policy p and returns the full
 // measurement set.
+//
+// When the run is a pure function of p — a DistSource under common
+// random numbers, with none of OnRequestComplete, Interference,
+// Faults, SpeedFactors, ArrivalTimes or RateMultiplier set, and p a
+// plain value such as SingleR (not a MultipleR's slice or a stateful
+// pointer) — and this Cluster ran a policy with the same bits among
+// its last recallRuns simulated runs, RunDetailed returns that run's
+// Result again instead of simulating it. A Result is therefore
+// shared and must be treated as read-only.
 func (c *Cluster) RunDetailed(p reissue.Policy) *Result {
+	pv, ok := recallablePolicy(p)
+	ok = ok && c.recallable
+	if ok {
+		if res := c.recall(pv); res != nil {
+			return res
+		}
+	}
+	res := c.simulate(p)
+	if ok {
+		c.remember(pv, res)
+	}
+	return res
+}
+
+// simulate runs the event simulation of one run under policy p.
+func (c *Cluster) simulate(p reissue.Policy) *Result {
 	c.runs++
 	cfg := c.cfg
 	cfg.Source.Reset()
@@ -870,8 +908,22 @@ func (c *Cluster) RunDetailed(p reissue.Policy) *Result {
 	}
 	rs := c.state()
 	// A run that replays the workload draw (see Config.FreshPerRun)
-	// reads no arrival, service or connection stream.
+	// reads no arrival, service or connection stream. A Cluster's
+	// first run replays too when its DrawTable holds its draw; when it
+	// does not, the run stores the draw it makes.
 	replay := rs.drawn
+	var key drawKey
+	share := false
+	if !replay && c.draws != nil {
+		if key, share = drawKeyOf(&cfg); share {
+			if d := c.draws.load(key); d != nil {
+				for i := range d {
+					rs.queries[i].draw = d[i]
+				}
+				replay, share = true, false
+			}
+		}
+	}
 	root := stats.NewRNG(seed)
 	arrivalRNG := drawStream(root, 1, replay)
 	serviceRNG := drawStream(root, 2, replay)
@@ -944,6 +996,9 @@ func (c *Cluster) RunDetailed(p reissue.Policy) *Result {
 	}
 	_, stateless := cfg.Source.(DistSource)
 	rs.drawn = stateless && !cfg.FreshPerRun
+	if share {
+		c.draws.store(key, rs.queries)
+	}
 
 	if cfg.Servers > 0 {
 		rs.scheduleInterference(at*1.25, root)

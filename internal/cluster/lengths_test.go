@@ -121,7 +121,9 @@ func TestWarmRunAllocationCeiling(t *testing.T) {
 				resultAllocs = 5 // Result, Log, Log.Records, Outcomes, Pairs
 				rngAllocs    = 3 // root, policy and load-balancer streams
 			)
-			if got := testing.AllocsPerRun(5, func() { c.RunDetailed(pol) }); got > resultAllocs+rngAllocs {
+			// simulate, not RunDetailed: a repeated policy would be
+			// recalled without running.
+			if got := testing.AllocsPerRun(5, func() { c.simulate(pol) }); got > resultAllocs+rngAllocs {
 				t.Fatalf("warm run allocates %.0f/run, want <= %d (its Result and RNG streams)", got, resultAllocs+rngAllocs)
 			}
 		})

@@ -53,19 +53,21 @@ func TestRunReplaysDrawnWorkload(t *testing.T) {
 		edit(&cfg)
 		return cfg
 	}
+	// share: whether clusters attached to one DrawTable share the
+	// draw (see DrawTable).
 	cases := []struct {
-		name   string
-		cfg    Config
-		replay bool
+		name          string
+		cfg           Config
+		replay, share bool
 	}{
-		{"queueing", queueingCfg(5), true},
-		{"fan-out", with(func(c *Config) { c.FanOut = 4 }), true},
+		{"queueing", queueingCfg(5), true, true},
+		{"fan-out", with(func(c *Config) { c.FanOut = 4 }), true, true},
 		{"rate-multiplier", with(func(c *Config) {
 			c.RateMultiplier = func(t float64) float64 { return 1 + 0.5*math.Sin(t/200) }
-		}), true},
+		}), true, false},
 		{"interference", with(func(c *Config) {
 			c.Interference = &Interference{Rate: 0.01, MeanDuration: 20, Factor: 4}
-		}), true},
+		}), true, true},
 		{"faults", with(func(c *Config) {
 			c.LB = HashedLB{}
 			c.Faults = &FaultPlan{
@@ -76,14 +78,17 @@ func TestRunReplaysDrawnWorkload(t *testing.T) {
 				BreakerThreshold: 4,
 				BreakerCooldown:  50,
 			}
-		}), true},
-		{"arrival-times", with(func(c *Config) { c.ArrivalTimes = schedule }), true},
-		{"infinite-servers", Config{Queries: 500, Source: DistSource{Dist: stats.NewPareto(1, 1.1), Corr: 0.5}, Seed: 3}, true},
-		{"cancel-on-complete", with(func(c *Config) { c.CancelOnComplete = true }), true},
+		}), true, true},
+		{"arrival-times", with(func(c *Config) { c.ArrivalTimes = schedule }), true, false},
+		{"infinite-servers", Config{Queries: 500, Source: DistSource{Dist: stats.NewPareto(1, 1.1), Corr: 0.5}, Seed: 3}, true, true},
+		{"cancel-on-complete", with(func(c *Config) { c.CancelOnComplete = true }), true, true},
 		{"trace-source", with(func(c *Config) {
 			c.Source = &TraceSource{Times: []float64{3, 14, 1, 5, 9, 2, 6}}
-		}), false},
-		{"fresh-per-run", with(func(c *Config) { c.FreshPerRun = true }), false},
+		}), false, false},
+		{"fresh-per-run", with(func(c *Config) { c.FreshPerRun = true }), false, false},
+		{"uncomparable-dist", with(func(c *Config) {
+			c.Source = DistSource{Dist: taggedDist{Exponential: stats.NewExponential(0.1)}}
+		}), true, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -102,6 +107,39 @@ func TestRunReplaysDrawnWorkload(t *testing.T) {
 				if c.rs.drawn != tc.replay {
 					t.Fatalf("run %d: drawn = %v, want %v", k, c.rs.drawn, tc.replay)
 				}
+			}
+		})
+	}
+
+	// Clusters attached to one DrawTable: the first run of each later
+	// cluster copies the first cluster's draw (or draws its own where
+	// nothing is shared), with and without an adopted engine, and
+	// every run still equals a cold cluster's.
+	for _, tc := range cases {
+		t.Run("shared-draws/"+tc.name, func(t *testing.T) {
+			var table DrawTable
+			var prev *Cluster
+			for ci, adopt := range []bool{false, false, true, true} {
+				c := mustCluster(t, tc.cfg)
+				c.ShareDraws(&table)
+				if adopt {
+					c.AdoptState(prev)
+				}
+				prev = c
+				for k := range replayPolicies {
+					// Each cluster starts at a different policy.
+					p := replayPolicies[(k+ci)%len(replayPolicies)]
+					ref := tc.cfg
+					if ref.FreshPerRun {
+						ref.Seed += uint64(k) * 0x9e3779b9
+					}
+					want := mustCluster(t, ref).RunDetailed(p)
+					identicalRun(t, fmt.Sprintf("cluster %d run %d (%v)", ci, k, p), want, c.RunDetailed(p))
+				}
+			}
+			stored := len(table.draws)
+			if tc.share && stored != 1 || !tc.share && stored != 0 {
+				t.Fatalf("table holds %d draws, want sharing = %v", stored, tc.share)
 			}
 		})
 	}
@@ -163,6 +201,13 @@ func TestRunReplaysDrawnWorkload(t *testing.T) {
 	})
 }
 
+// taggedDist is a Dist whose value is not comparable, so its draws
+// cannot key a DrawTable.
+type taggedDist struct {
+	stats.Exponential
+	tags []int
+}
+
 // TestReplayedRunAllocs pins that replay costs no allocation: a
 // replayed run allocates no more than a run that draws its workload
 // on an equally warm engine.
@@ -179,7 +224,9 @@ func TestReplayedRunAllocs(t *testing.T) {
 	if !replaying.rs.drawn {
 		t.Fatal("common-random-numbers cluster does not replay")
 	}
-	replayed := testing.AllocsPerRun(5, func() { replaying.RunDetailed(pol) })
+	// simulate, not RunDetailed: a repeated policy would be recalled
+	// without running.
+	replayed := testing.AllocsPerRun(5, func() { replaying.simulate(pol) })
 	if replayed > drawn {
 		t.Fatalf("replayed run allocates %.0f/run, drawn run %.0f/run", replayed, drawn)
 	}

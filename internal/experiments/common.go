@@ -16,9 +16,12 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/kvstore"
+	"repro/internal/metrics"
+	"repro/internal/rangequery"
 	"repro/internal/searchengine"
 	"repro/internal/stats"
 	"repro/internal/sweep"
+	"repro/internal/workload"
 	"repro/reissue"
 )
 
@@ -281,6 +284,98 @@ func meanOf(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
+}
+
+// shared is sweep.Env.Once with a typed value: fn's result is
+// computed once per sweep pass for key and shared, read-only, by
+// every point that asks. Each value type has its own key types, so
+// keys of different types never collide.
+func shared[T any](env *sweep.Env, key any, fn func() (T, error)) (T, error) {
+	v, err := env.Once(key, func() (any, error) { return fn() })
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	return v.(T), nil
+}
+
+// queueingOpts spells out the load balancer workload.Queueing
+// defaults to, so two options that build the same cluster are equal
+// recipe keys.
+func queueingOpts(o workload.Options) workload.Options {
+	if o.LB == nil {
+		o.LB = cluster.RandomLB{}
+	}
+	return o
+}
+
+// adaptiveRecipe keys an adaptive SingleR loop on a Queueing
+// workload; its shared value is the loop's reissue.AdaptiveResult.
+type adaptiveRecipe struct {
+	opts workload.Options
+	cfg  reissue.AdaptiveConfig
+}
+
+// sharedAdaptive runs reissue.AdaptiveOptimize on the Queueing
+// workload o once per sweep pass: Figures 2a and 2b plot the same
+// loop, and 5b's Random column is 5c's FIFO column.
+func sharedAdaptive(env *sweep.Env, o workload.Options, cfg reissue.AdaptiveConfig) (reissue.AdaptiveResult, error) {
+	o = queueingOpts(o)
+	return shared(env, adaptiveRecipe{o, cfg}, func() (reissue.AdaptiveResult, error) {
+		wl, err := env.WarmCluster(workload.Queueing(o))
+		if err != nil {
+			return reissue.AdaptiveResult{}, err
+		}
+		return reissue.AdaptiveOptimize(wl, cfg)
+	})
+}
+
+// baselineRecipe keys the no-reissue P95 of a Queueing workload.
+type baselineRecipe struct{ opts workload.Options }
+
+// sharedBaselineP95 measures the no-reissue P95 of the Queueing
+// workload o once per sweep pass.
+func sharedBaselineP95(env *sweep.Env, o workload.Options) (float64, error) {
+	o = queueingOpts(o)
+	return shared(env, baselineRecipe{o}, func() (float64, error) {
+		wl, err := env.WarmCluster(workload.Queueing(o))
+		if err != nil {
+			return 0, err
+		}
+		return metrics.TailLatency(wl.RunDetailed(reissue.None{}).Log.ResponseTimes(), 95), nil
+	})
+}
+
+// probeRecipe keys the SingleD(0) probe of an infinite-server
+// workload; its shared value is a probeLogs.
+type probeRecipe struct {
+	kind    WorkloadKind
+	queries int
+	seed    uint64
+}
+
+// probeLogs is what the probe's readers use of its run: the primary
+// response times and the (primary, reissue) pairs.
+type probeLogs struct {
+	primary []float64
+	pairs   []rangequery.Point
+}
+
+// sharedProbe runs the SingleD(0) probe of an infinite-server
+// workload once per sweep pass: every Figure 3 budget of the
+// Independent and Correlated workloads tunes from it, and Figure 4a
+// plots the Correlated one. Reissuing everything at t=0 samples the
+// joint service-time distribution without perturbing it, because
+// with infinite servers reissue load cannot queue.
+func sharedProbe(env *sweep.Env, kind WorkloadKind, sc Scale) (probeLogs, error) {
+	return shared(env, probeRecipe{kind, sc.Queries, sc.Seed}, func() (probeLogs, error) {
+		wl, err := env.WarmCluster(buildWorkload(kind, sc))
+		if err != nil {
+			return probeLogs{}, err
+		}
+		run := wl.RunDetailed(reissue.SingleD{D: 0})
+		return probeLogs{primary: run.Log.PrimaryTimes(), pairs: run.Pairs}, nil
+	})
 }
 
 // adaptiveCfg builds the adaptive-optimizer configuration used by the

@@ -9,21 +9,27 @@ import (
 	"repro/reissue"
 )
 
-// figure2Trials is the adaptive-trial count Figures 2a and 2b use:
-// the paper plots 10 trials and lambda = 0.2 needs ~6-10 to
-// converge, so smaller scales are rounded up.
-func figure2Trials(sc Scale) int {
-	return max(sc.AdaptiveTrials, 10)
+// figure2Budget is the reissue budget of Figures 2a and 2b.
+const figure2Budget = 0.30
+
+// figure2Adaptive runs the adaptive SingleR loop Figures 2a and 2b
+// both plot — P95, a 30% budget, lambda = 0.2, correlated — once per
+// sweep pass. The paper plots 10 trials and lambda = 0.2 needs ~6-10
+// to converge, so smaller scales are rounded up to 10 trials.
+func figure2Adaptive(env *sweep.Env, sc Scale) (reissue.AdaptiveResult, error) {
+	return sharedAdaptive(env, workload.Options{Queries: sc.Queries, Seed: sc.Seed},
+		reissue.AdaptiveConfig{
+			K: 0.95, B: figure2Budget, Lambda: 0.2, Trials: max(sc.AdaptiveTrials, 10), Correlated: true,
+		})
 }
 
 // Figure2aJob decomposes Figure 2a into two independent points: the
 // no-reissue baseline run and the adaptive-policy run. Both rebuild
 // the same Queueing workload from the Scale, so the split reproduces
-// the sequential harness exactly.
+// the sequential harness exactly; the adaptive run is Figure 2b's,
+// computed once when both figures run in one pass.
 func Figure2aJob(sc Scale) *Job {
 	sc = sc.withDefaults()
-	const k, B = 0.95, 0.30
-	trials := figure2Trials(sc)
 
 	var baseResp []float64
 	var ar reissue.AdaptiveResult
@@ -45,15 +51,8 @@ func Figure2aJob(sc Scale) *Job {
 		{
 			Label: "2a/adaptive",
 			Run: func(env *sweep.Env) error {
-				wl, err := env.WarmCluster(workload.Queueing(workload.Options{
-					Queries: sc.Queries, Seed: sc.Seed,
-				}))
-				if err != nil {
-					return err
-				}
-				ar, err = reissue.AdaptiveOptimize(wl, reissue.AdaptiveConfig{
-					K: k, B: B, Lambda: 0.2, Trials: trials, Correlated: true,
-				})
+				var err error
+				ar, err = figure2Adaptive(env, sc)
 				return err
 			},
 		},
@@ -104,23 +103,14 @@ func Figure2a(sc Scale) (*Table, error) {
 // adaptive optimizer and a merge rendering its per-trial trace.
 func Figure2bJob(sc Scale) *Job {
 	sc = sc.withDefaults()
-	const k, B = 0.95, 0.30
-	trials := figure2Trials(sc)
 
 	var ar reissue.AdaptiveResult
 	j := &Job{Name: "figure2b"}
 	j.Points = []sweep.Point{{
 		Label: "2b/adaptive",
 		Run: func(env *sweep.Env) error {
-			wl, err := env.WarmCluster(workload.Queueing(workload.Options{
-				Queries: sc.Queries, Seed: sc.Seed,
-			}))
-			if err != nil {
-				return err
-			}
-			ar, err = reissue.AdaptiveOptimize(wl, reissue.AdaptiveConfig{
-				K: k, B: B, Lambda: 0.2, Trials: trials, Correlated: true,
-			})
+			var err error
+			ar, err = figure2Adaptive(env, sc)
 			return err
 		},
 	}}
@@ -133,7 +123,7 @@ func Figure2bJob(sc Scale) *Job {
 		for _, tr := range ar.Trials {
 			t.AddRow(float64(tr.Trial), tr.Predicted, tr.Actual)
 		}
-		converged := ar.Converged(B, 0.15)
+		converged := ar.Converged(figure2Budget, 0.15)
 		t.Notes = append(t.Notes, fmt.Sprintf("converged(15%% tolerance)=%v, final policy %v",
 			converged, ar.Policy))
 		return []*Table{t}, nil

@@ -99,11 +99,20 @@ func Figure3Job(kind WorkloadKind, sc Scale) *Job {
 		j.Points = append(j.Points, sweep.Point{
 			Label: fmt.Sprintf("3/%s/B=%v", name, B),
 			Run: func(env *sweep.Env) error {
+				// The probe's cluster, when it is this point's to run,
+				// takes the worker's engine before wl does.
+				var probe probeLogs
+				if kind != Queueing {
+					var err error
+					if probe, err = sharedProbe(env, kind, sc); err != nil {
+						return err
+					}
+				}
 				wl, err := env.WarmCluster(buildWorkload(kind, sc))
 				if err != nil {
 					return err
 				}
-				polR, polD, err := tunePolicies(wl, kind, k, B, sc)
+				polR, polD, err := tunePolicies(wl, probe, kind, k, B, sc)
 				if err != nil {
 					return fmt.Errorf("budget %v: %w", B, err)
 				}
@@ -171,11 +180,11 @@ func Figure3(kind WorkloadKind, sc Scale) (*Figure3Result, error) {
 }
 
 // tunePolicies finds the SingleR and SingleD policies for one budget.
-// On the no-queueing workloads the optimizer runs once on logged
-// response times (reissue load cannot perturb an infinite-server
-// system); the Queueing workload uses adaptive refinement for both
-// families, as in the paper.
-func tunePolicies(wl *cluster.Cluster, kind WorkloadKind, k, B float64, sc Scale) (reissue.SingleR, reissue.SingleD, error) {
+// On the no-queueing workloads the optimizer runs once on the
+// logged response times of the SingleD(0) probe (reissue load cannot
+// perturb an infinite-server system); the Queueing workload uses
+// adaptive refinement for both families on wl, as in the paper.
+func tunePolicies(wl *cluster.Cluster, probe probeLogs, kind WorkloadKind, k, B float64, sc Scale) (reissue.SingleR, reissue.SingleD, error) {
 	if kind == Queueing {
 		ar, err := reissue.AdaptiveOptimize(wl, adaptiveCfg(k, B, sc, true))
 		if err != nil {
@@ -188,14 +197,11 @@ func tunePolicies(wl *cluster.Cluster, kind WorkloadKind, k, B float64, sc Scale
 		return ar.Policy, reissue.SingleD{D: ad.Policy.D}, nil
 	}
 
-	// Collect paired logs by reissuing everything immediately once:
-	// with infinite servers this does not perturb response times.
-	probe := wl.RunDetailed(reissue.SingleD{D: 0})
-	polR, _, err := reissue.ComputeOptimalSingleRCorrelated(probe.Log.PrimaryTimes(), probe.Pairs, k, B)
+	polR, _, err := reissue.ComputeOptimalSingleRCorrelated(probe.primary, probe.pairs, k, B)
 	if err != nil {
 		return reissue.SingleR{}, reissue.SingleD{}, err
 	}
-	polD, err := reissue.OptimalSingleD(probe.Log.PrimaryTimes(), B)
+	polD, err := reissue.OptimalSingleD(probe.primary, B)
 	if err != nil {
 		return reissue.SingleR{}, reissue.SingleD{}, err
 	}

@@ -23,18 +23,13 @@ func Figure4Job(sc Scale) *Job {
 		{
 			Label: "4a/correlated",
 			Run: func(env *sweep.Env) error {
-				corrWL, err := env.WarmCluster(workload.Correlated(workload.Options{
-					Queries: sc.Queries, Seed: sc.Seed,
-				}))
+				// Figure 3's SingleD(0) probe of the Correlated workload.
+				probe, err := sharedProbe(env, CorrelatedWL, sc)
 				if err != nil {
 					return err
 				}
-				// Reissue everything at t=0: with infinite servers this
-				// samples the joint service-time distribution without
-				// perturbing it.
-				corrRun := corrWL.RunDetailed(reissue.SingleD{D: 0})
 				a = scatterTable("4a", "Correlated workload: primary vs reissue response times",
-					corrRun.Pairs, maxPoints)
+					probe.pairs, maxPoints)
 				return nil
 			},
 		},

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/cluster"
-	"repro/internal/metrics"
 	"repro/internal/sweep"
 	"repro/internal/workload"
 	"repro/reissue"
@@ -17,7 +16,9 @@ var Figure5Rates = []float64{0.05, 0.10, 0.20, 0.30, 0.40, 0.50}
 var figure5aCorrs = []float64{0, 0.2, 0.4, 0.6, 0.8, 1.0}
 
 // Figure5aJob decomposes Figure 5a: one point per correlation ratio,
-// each computing its own baseline and adaptive policy.
+// each computing its own baseline and adaptive policy. The corr-0
+// baseline is 5b's Random and 5c's FIFO baseline, computed once when
+// they run in one pass.
 func Figure5aJob(sc Scale) *Job {
 	sc = sc.withDefaults()
 	const k, B = 0.95, 0.25
@@ -30,14 +31,15 @@ func Figure5aJob(sc Scale) *Job {
 		j.Points = append(j.Points, sweep.Point{
 			Label: fmt.Sprintf("5a/corr=%v", r),
 			Run: func(env *sweep.Env) error {
-				wl, err := env.WarmCluster(workload.Queueing(workload.Options{
-					Queries: sc.Queries, Seed: sc.Seed,
-				}.WithCorr(r)))
+				o := workload.Options{Queries: sc.Queries, Seed: sc.Seed}.WithCorr(r)
+				var err error
+				if outs[ri].base, err = sharedBaselineP95(env, o); err != nil {
+					return err
+				}
+				wl, err := env.WarmCluster(workload.Queueing(o))
 				if err != nil {
 					return err
 				}
-				base := wl.RunDetailed(reissue.None{})
-				outs[ri].base = metrics.TailLatency(base.Log.ResponseTimes(), 95)
 				ar, err := reissue.AdaptiveOptimize(wl, adaptiveCfg(k, B, sc, true))
 				if err != nil {
 					return fmt.Errorf("corr %v: %w", r, err)
@@ -75,11 +77,13 @@ func Figure5a(sc Scale) (*Table, error) {
 }
 
 // figure5Grid builds the shared Job shape of Figures 5b and 5c: a
-// grid of variants (load balancers or disciplines) crossed with
-// Figure5Rates, decomposed into one baseline point per variant plus
-// one point per (variant, rate) cell.
+// grid of variants (load balancers or disciplines) of the
+// uncorrelated Queueing workload crossed with Figure5Rates,
+// decomposed into one baseline point per variant plus one point per
+// (variant, rate) cell. 5b's Random column and 5c's FIFO column are
+// one workload, so a pass that runs both computes its cells once.
 func figure5Grid(name, id, title string, columns []string, sc Scale,
-	build func(variant int) (*cluster.Cluster, error), variants int,
+	opts func(variant int) workload.Options, variants int,
 	variantLabel func(int) string) *Job {
 
 	const k = 0.95
@@ -94,13 +98,9 @@ func figure5Grid(name, id, title string, columns []string, sc Scale,
 		j.Points = append(j.Points, sweep.Point{
 			Label: fmt.Sprintf("%s/%s/base", id, variantLabel(vi)),
 			Run: func(env *sweep.Env) error {
-				wl, err := env.WarmCluster(build(vi))
-				if err != nil {
-					return err
-				}
-				base := wl.RunDetailed(reissue.None{})
-				rows[0][vi] = metrics.TailLatency(base.Log.ResponseTimes(), 95)
-				return nil
+				var err error
+				rows[0][vi], err = sharedBaselineP95(env, opts(vi))
+				return err
 			},
 		})
 		for _, B := range Figure5Rates {
@@ -108,11 +108,7 @@ func figure5Grid(name, id, title string, columns []string, sc Scale,
 			j.Points = append(j.Points, sweep.Point{
 				Label: fmt.Sprintf("%s/%s/B=%v", id, variantLabel(vi), B),
 				Run: func(env *sweep.Env) error {
-					wl, err := env.WarmCluster(build(vi))
-					if err != nil {
-						return err
-					}
-					ar, err := reissue.AdaptiveOptimize(wl, adaptiveCfg(k, B, sc, false))
+					ar, err := sharedAdaptive(env, opts(vi), adaptiveCfg(k, B, sc, false))
 					if err != nil {
 						return fmt.Errorf("%s budget %v: %w", variantLabel(vi), B, err)
 					}
@@ -140,10 +136,8 @@ func Figure5bJob(sc Scale) *Job {
 	return figure5Grid("figure5b", "5b",
 		"P95 vs reissue rate under different load balancers (Queueing, uncorrelated)",
 		[]string{"rate", "random", "min_of_two", "min_of_all"}, sc,
-		func(vi int) (*cluster.Cluster, error) {
-			return workload.Queueing(workload.Options{
-				Queries: sc.Queries, Seed: sc.Seed, LB: lbs[vi],
-			}.WithCorr(0))
+		func(vi int) workload.Options {
+			return workload.Options{Queries: sc.Queries, Seed: sc.Seed, LB: lbs[vi]}.WithCorr(0)
 		}, len(lbs),
 		func(vi int) string { return fmt.Sprintf("%v", lbs[vi]) })
 }
@@ -167,10 +161,8 @@ func Figure5cJob(sc Scale) *Job {
 	return figure5Grid("figure5c", "5c",
 		"P95 vs reissue rate under different queue disciplines (Queueing, uncorrelated)",
 		[]string{"rate", "baseline_fifo", "prio_fifo", "prio_lifo"}, sc,
-		func(vi int) (*cluster.Cluster, error) {
-			return workload.Queueing(workload.Options{
-				Queries: sc.Queries, Seed: sc.Seed, Discipline: discs[vi],
-			}.WithCorr(0))
+		func(vi int) workload.Options {
+			return workload.Options{Queries: sc.Queries, Seed: sc.Seed, Discipline: discs[vi]}.WithCorr(0)
 		}, len(discs),
 		func(vi int) string { return discs[vi].String() })
 }

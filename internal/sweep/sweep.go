@@ -21,6 +21,14 @@
 // should be derived with Seed (stats.Mix64 over base seed and point
 // index) so shuffling or re-chunking a grid never changes any
 // point's stream.
+//
+// Sharing: points share only what one Run makes for them and drops
+// when it returns — a cluster.DrawTable that Env.Warm attaches to
+// every warmed cluster, so each distinct workload draw is sampled
+// once per pass, and Env.Once, which computes a value that several
+// points repeat exactly once per pass and hands every asker the same
+// read-only result. Both return exactly what the point would have
+// computed alone, so sharing never reaches a measured value.
 package sweep
 
 import (
@@ -75,13 +83,88 @@ type Env struct {
 	Point int
 
 	donor *cluster.Cluster
+	label string // the current point's label, for Once's errors
+	pass  *pass
+}
+
+// pass is what the workers of one Run share. Run makes a fresh one,
+// so nothing in it outlives the sweep.
+type pass struct {
+	draws cluster.DrawTable
+
+	mu   sync.Mutex
+	once map[any]*onceCall
+}
+
+// onceCall is one Once key's computation: done is closed once val
+// and err are final.
+type onceCall struct {
+	done chan struct{}
+	val  any
+	err  error
+}
+
+// call returns key's computation, creating it when this is the
+// first ask; first reports that the caller must compute it. A key
+// that is not comparable panics here, with the lock released, and
+// fails the asking point.
+func (ps *pass) call(key any) (c *onceCall, first bool) {
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
+	if c, ok := ps.once[key]; ok {
+		return c, false
+	}
+	c = &onceCall{done: make(chan struct{})}
+	ps.once[key] = c
+	return c, true
+}
+
+// Once returns the value fn computes for key, computing it at most
+// once per Run: the first point that asks runs fn on its own worker,
+// and every later asker gets the same value and error, waiting for
+// the computation if it is still running (which never costs more
+// than computing it again). It is for work that points of different
+// figures repeat exactly. key must be a comparable recipe of
+// everything fn depends on, and the value should be small and is
+// shared: no asker may modify it. fn must not call Once. A panic
+// inside fn fails the computing point as a panic and every other
+// asker with an error naming that point. Outside a Run (a nil Env)
+// Once just calls fn.
+func (e *Env) Once(key any, fn func() (any, error)) (any, error) {
+	if e == nil || e.pass == nil {
+		return fn()
+	}
+	c, first := e.pass.call(key)
+	if !first {
+		<-c.done
+		return c.val, c.err
+	}
+	finished := false
+	defer func() {
+		if finished {
+			return
+		}
+		// fn panicked (or exited its goroutine): release the waiters
+		// with an error, then let the panic fail this point.
+		r := recover()
+		c.err = fmt.Errorf("sweep: shared value computed by point %d (%s) panicked: %v", e.Point, e.label, r)
+		close(c.done)
+		if r != nil {
+			panic(r)
+		}
+	}()
+	c.val, c.err = fn()
+	finished = true
+	close(c.done)
+	return c.val, c.err
 }
 
 // Warm hands the worker's pooled engine state to c and returns c.
 // Call it on each cluster a point builds, immediately before the
 // cluster's first run; the cluster adopts the previous point's event
 // slab, arenas, and server pool, so steady-state points allocate
-// like repeated runs on a single cluster. Order matters when a point
+// like repeated runs on a single cluster, and it shares the pass's
+// workload draws (cluster.DrawTable). Order matters when a point
 // builds several clusters: warm each one after the previous cluster
 // has finished all of its runs, because adoption transfers (not
 // copies) the pooled state.
@@ -93,6 +176,9 @@ func (e *Env) Warm(c *cluster.Cluster) *cluster.Cluster {
 		c.AdoptState(e.donor)
 	}
 	e.donor = c
+	if e.pass != nil {
+		c.ShareDraws(&e.pass.draws)
+	}
 	return c
 }
 
@@ -129,8 +215,9 @@ func Run(points []Point, opt Options) error {
 	defer prog.close()
 
 	errs := make([]error, len(points))
+	ps := &pass{once: make(map[any]*onceCall)}
 	if workers <= 1 {
-		env := &Env{Worker: 0}
+		env := &Env{Worker: 0, pass: ps}
 		for i := range points {
 			env.Point = i
 			if err := runPoint(&points[i], i, env); err != nil {
@@ -158,7 +245,7 @@ func Run(points []Point, opt Options) error {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			env := &Env{Worker: w}
+			env := &Env{Worker: w, pass: ps}
 			for i := range idx {
 				// Drain without evaluating once any point failed, so
 				// the dispatcher never blocks on a send with no
@@ -198,6 +285,7 @@ func runPoint(p *Point, i int, env *Env) (err error) {
 	if p.Run == nil {
 		return fmt.Errorf("sweep: point %d (%s) has no Run func", i, label(p, i))
 	}
+	env.label = label(p, i)
 	if err := p.Run(env); err != nil {
 		return fmt.Errorf("sweep: point %d (%s): %w", i, label(p, i), err)
 	}

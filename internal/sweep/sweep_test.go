@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -120,9 +121,10 @@ func TestRunErrorNamesPoint(t *testing.T) {
 
 // TestWarmEnginesReplayIdentical drives the harness end to end the
 // way the figure jobs do — every point builds its own cluster,
-// warmed from the worker's previous point — and checks the merged
-// grid is byte-identical to cold sequential evaluation at every
-// worker count.
+// warmed from the worker's previous point and sharing the pass's
+// workload draws with the points of the same seed — and checks the
+// merged grid is byte-identical to cold evaluation at every worker
+// count.
 func TestWarmEnginesReplayIdentical(t *testing.T) {
 	cfg := func(i int) cluster.Config {
 		return cluster.Config{
@@ -131,9 +133,10 @@ func TestWarmEnginesReplayIdentical(t *testing.T) {
 			Queries:     600,
 			Warmup:      60,
 			Source:      cluster.DistSource{Dist: stats.NewExponential(0.1)},
-			Seed:        uint64(42 + i),
+			Seed:        uint64(42 + i%3),
 		}
 	}
+	pol := func(i int) reissue.Policy { return reissue.SingleR{D: float64(i % 5), Q: 0.1} }
 	const n = 12
 	eval := func(workers int) ([]float64, error) {
 		out := make([]float64, n)
@@ -147,7 +150,7 @@ func TestWarmEnginesReplayIdentical(t *testing.T) {
 					if err != nil {
 						return err
 					}
-					out[i] = c.RunDetailed(reissue.SingleR{D: 2, Q: 0.1}).Duration
+					out[i] = c.RunDetailed(pol(i)).Duration
 					return nil
 				},
 			}
@@ -155,11 +158,15 @@ func TestWarmEnginesReplayIdentical(t *testing.T) {
 		return out, Run(points, Options{Workers: workers})
 	}
 
-	want, err := eval(1)
-	if err != nil {
-		t.Fatal(err)
+	want := make([]float64, n)
+	for i := range want {
+		c, err := cluster.New(cfg(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = c.RunDetailed(pol(i)).Duration
 	}
-	for _, workers := range []int{2, 3, 8} {
+	for _, workers := range []int{1, 2, 3, 8} {
 		got, err := eval(workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -248,5 +255,180 @@ func TestProgressReporting(t *testing.T) {
 	}
 	if !strings.Contains(out, "ETA") {
 		t.Fatalf("missing periodic ETA line:\n%s", out)
+	}
+}
+
+// onceGrid runs n points through one sweep, point i asking Once for
+// key i%keys; fn counts its calls per key and returns key*key after
+// a short sleep, so askers overlap the computation.
+func onceGrid(t *testing.T, workers, n, keys int, calls []atomic.Int64) []int {
+	t.Helper()
+	got := make([]int, n)
+	points := make([]Point, n)
+	for i := range points {
+		i := i
+		points[i] = Point{
+			Label: fmt.Sprintf("p%d", i),
+			Run: func(env *Env) error {
+				k := i % keys
+				v, err := env.Once(k, func() (any, error) {
+					calls[k].Add(1)
+					time.Sleep(2 * time.Millisecond)
+					return k * k, nil
+				})
+				if err != nil {
+					return err
+				}
+				got[i] = v.(int)
+				return nil
+			},
+		}
+	}
+	if err := Run(points, Options{Workers: workers}); err != nil {
+		t.Fatalf("workers=%d: %v", workers, err)
+	}
+	return got
+}
+
+// TestOnceComputesOncePerKey: every key's fn runs exactly once per
+// pass, however many points ask for it and however many workers ask
+// at once, and every asker gets its value.
+func TestOnceComputesOncePerKey(t *testing.T) {
+	const n, keys = 40, 4
+	for _, workers := range []int{2, 8} {
+		calls := make([]atomic.Int64, keys)
+		got := onceGrid(t, workers, n, keys, calls)
+		for k := range calls {
+			if c := calls[k].Load(); c != 1 {
+				t.Errorf("workers=%d: key %d computed %d times", workers, k, c)
+			}
+		}
+		for i, v := range got {
+			if k := i % keys; v != k*k {
+				t.Errorf("workers=%d: point %d got %d, want %d", workers, i, v, k*k)
+			}
+		}
+	}
+}
+
+// TestOnceRecomputesPerRun: nothing survives a Run, so a second
+// sweep computes every key again.
+func TestOnceRecomputesPerRun(t *testing.T) {
+	const n, keys = 8, 2
+	calls := make([]atomic.Int64, keys)
+	onceGrid(t, 2, n, keys, calls)
+	onceGrid(t, 2, n, keys, calls)
+	for k := range calls {
+		if c := calls[k].Load(); c != 2 {
+			t.Errorf("key %d computed %d times over two sweeps, want 2", k, c)
+		}
+	}
+}
+
+// TestOnceErrorReachesEveryAsker: fn's error is every asker's error,
+// whether it waited for the computation or asked after it.
+func TestOnceErrorReachesEveryAsker(t *testing.T) {
+	boom := errors.New("bad shared value")
+	for _, workers := range []int{1, 4} {
+		const n = 12
+		var calls atomic.Int64
+		errs := make([]error, n)
+		points := make([]Point, n)
+		for i := range points {
+			i := i
+			points[i] = Point{
+				Label: fmt.Sprintf("p%d", i),
+				Run: func(env *Env) error {
+					// Record instead of returning, so the sweep runs every
+					// point and each asker's error can be checked.
+					_, errs[i] = env.Once("k", func() (any, error) {
+						calls.Add(1)
+						time.Sleep(2 * time.Millisecond)
+						return nil, boom
+					})
+					return nil
+				},
+			}
+		}
+		if err := Run(points, Options{Workers: workers}); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if c := calls.Load(); c != 1 {
+			t.Errorf("workers=%d: failing fn ran %d times", workers, c)
+		}
+		for i, err := range errs {
+			if !errors.Is(err, boom) {
+				t.Errorf("workers=%d: point %d got %v", workers, i, err)
+			}
+		}
+	}
+}
+
+// TestOncePanicFailsEveryAsker is the dispatcher-safety contract for
+// shared values: a panic inside fn fails the computing point as a
+// panic, fails every other asker with an error naming the computing
+// point, and never deadlocks the askers or the dispatcher.
+func TestOncePanicFailsEveryAsker(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		const n = 4
+		var asked atomic.Int64
+		errs := make([]error, n)
+		points := make([]Point, n)
+		for i := range points {
+			i := i
+			points[i] = Point{
+				Label: fmt.Sprintf("grid/p%d", i),
+				Run: func(env *Env) error {
+					asked.Add(1)
+					_, err := env.Once("k", func() (any, error) {
+						// Give the other workers time to start waiting.
+						time.Sleep(20 * time.Millisecond)
+						panic("boom")
+					})
+					errs[i] = err
+					return nil
+				},
+			}
+		}
+		done := make(chan error, 1)
+		go func() { done <- Run(points, Options{Workers: workers}) }()
+		var err error
+		select {
+		case err = <-done:
+		case <-time.After(30 * time.Second):
+			t.Fatalf("workers=%d: sweep deadlocked on a panicking shared value", workers)
+		}
+		if err == nil {
+			t.Fatalf("workers=%d: panic not surfaced", workers)
+		}
+		for _, want := range []string{"grid/p", "panicked", "boom"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("workers=%d: sweep error %q missing %q", workers, err, want)
+			}
+		}
+		// The computing point failed by panicking and recorded nothing;
+		// every other point that ran recorded an error naming it.
+		computing := ""
+		for i := 0; i < n; i++ {
+			if strings.Contains(err.Error(), fmt.Sprintf("(grid/p%d)", i)) {
+				computing = fmt.Sprintf("point %d (grid/p%d)", i, i)
+			}
+		}
+		waiters := 0
+		for i, e := range errs {
+			if e == nil {
+				continue
+			}
+			waiters++
+			if !strings.Contains(e.Error(), computing) || !strings.Contains(e.Error(), "boom") {
+				t.Errorf("workers=%d: point %d got %q, want it to name %s", workers, i, e, computing)
+			}
+		}
+		if workers > 1 && waiters == 0 {
+			t.Errorf("workers=%d: no other point asked for the shared value", workers)
+		}
+		if int(asked.Load()) != waiters+1 {
+			t.Errorf("workers=%d: %d points asked, %d recorded an error", workers, asked.Load(), waiters)
+		}
 	}
 }

@@ -162,8 +162,7 @@ func ComputeOptimalSingleRCorrelatedSorted(sx []float64, pairs []rangequery.Poin
 		sy[i] = p.Y
 	}
 	stats.SortFloat64s(sy)
-	byX := slices.Clone(pairs)
-	slices.SortFunc(byX, func(a, b rangequery.Point) int { return cmp.Compare(b.X, a.X) })
+	byX := pairsByXDesc(pairs)
 	// t only falls during the search, so the pairs with X > t only
 	// grow: insert them by descending X as t drops, each at the rank
 	// of its Y, and count those with Y <= t-d by a prefix sum.
@@ -222,6 +221,92 @@ func ComputeOptimalSingleRCorrelatedSorted(sx []float64, pairs []rangequery.Poin
 		Budget:      q * pxGT,
 	}
 	return pol, pred, nil
+}
+
+// pairRadixCutoff is the pair count below which pairsByXDesc uses a
+// comparison sort, as stats.SortFloat64s does below its own cutoff.
+const pairRadixCutoff = 384
+
+// pairsByXDesc returns a copy of pairs ordered by descending X, for
+// the correlated sweep. Pairs with equal X may come in any order:
+// the sweep inserts every pair with X > t in one step, so equal X
+// always enter the tree together and the counts are the same.
+//
+// It is a least-significant-digit radix sort on the complemented
+// order-preserving key of X, one byte per pass, skipping every pass
+// whose byte is the same for all pairs — the scheme of
+// stats.SortFloat64s, moving whole pairs between two halves of one
+// buffer. Short inputs and any NaN X take the comparison sort, which
+// puts NaNs last, where the sweep never reaches them.
+func pairsByXDesc(pairs []rangequery.Point) []rangequery.Point {
+	n := len(pairs)
+	if n < pairRadixCutoff || n > math.MaxUint32 {
+		return pairsByXDescCmp(pairs)
+	}
+	var hist [8][256]uint32
+	for _, p := range pairs {
+		if p.X != p.X {
+			return pairsByXDescCmp(pairs)
+		}
+		k := descKey(p.X)
+		hist[0][byte(k)]++
+		hist[1][byte(k>>8)]++
+		hist[2][byte(k>>16)]++
+		hist[3][byte(k>>24)]++
+		hist[4][byte(k>>32)]++
+		hist[5][byte(k>>40)]++
+		hist[6][byte(k>>48)]++
+		hist[7][byte(k>>56)]++
+	}
+	buf := make([]rangequery.Point, 2*n)
+	halves := [2][]rangequery.Point{buf[:n], buf[n:]}
+	src, next := pairs, 0
+	first := descKey(pairs[0].X)
+	for b := range hist {
+		h := &hist[b]
+		shift := 8 * uint(b)
+		if int(h[byte(first>>shift)]) == n {
+			continue // every key shares this byte: the pass is the identity
+		}
+		var offs [256]uint32
+		var sum uint32
+		for d, c := range h {
+			offs[d] = sum
+			sum += c
+		}
+		dst := halves[next]
+		for _, p := range src {
+			d := byte(descKey(p.X) >> shift)
+			dst[offs[d]] = p
+			offs[d]++
+		}
+		src, next = dst, 1-next
+	}
+	if &src[0] == &pairs[0] {
+		// Every X is equal: no pass ran.
+		copy(halves[0], pairs)
+		return halves[0]
+	}
+	return src
+}
+
+// descKey maps x (not NaN) to a uint64 whose unsigned order is x's
+// descending numeric order: the complement of the order-preserving
+// key that flips every bit of a negative value and only the sign bit
+// of the rest.
+func descKey(x float64) uint64 {
+	u := math.Float64bits(x)
+	if u>>63 != 0 {
+		return u
+	}
+	return ^(u | 1<<63)
+}
+
+// pairsByXDescCmp is pairsByXDesc by comparison sort.
+func pairsByXDescCmp(pairs []rangequery.Point) []rangequery.Point {
+	byX := slices.Clone(pairs)
+	slices.SortFunc(byX, func(a, b rangequery.Point) int { return cmp.Compare(b.X, a.X) })
+	return byX
 }
 
 // PredictSingleR evaluates what tail latency a given SingleR policy

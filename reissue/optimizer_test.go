@@ -482,3 +482,69 @@ func TestBindBudget(t *testing.T) {
 		t.Error("BindBudget accepted budget > 1")
 	}
 }
+
+// TestPairsByXDescMatchesComparisonSort pins the radix pair sort to
+// the comparison sort it replaces: the same X sequence (descending,
+// NaNs last) and the same pairs at each X, across sizes on both
+// sides of the cutoff, negative values, signed zeros, heavy ties,
+// a single repeated X and a NaN.
+func TestPairsByXDescMatchesComparisonSort(t *testing.T) {
+	r := stats.NewRNG(11)
+	pareto := stats.NewPareto(1.1, 2)
+	gen := map[string]func(i int) float64{
+		"pareto":   func(int) float64 { return pareto.Sample(r) },
+		"signed":   func(int) float64 { return r.Float64()*20 - 10 },
+		"ties":     func(int) float64 { return float64(r.Intn(7)) },
+		"zeros":    func(i int) float64 { return math.Copysign(0, float64(i%2)-0.5) },
+		"constant": func(int) float64 { return 3.5 },
+		"nan": func(i int) float64 {
+			if i == 17 {
+				return math.NaN()
+			}
+			return r.Float64()
+		},
+	}
+	for name, x := range gen {
+		for _, n := range []int{1, 50, pairRadixCutoff - 1, pairRadixCutoff, 5000} {
+			pairs := make([]rangequery.Point, n)
+			for i := range pairs {
+				pairs[i] = rangequery.Point{X: x(i), Y: float64(i)}
+			}
+			orig := append([]rangequery.Point(nil), pairs...)
+			got, want := pairsByXDesc(pairs), pairsByXDescCmp(pairs)
+			for i := range pairs {
+				if math.Float64bits(pairs[i].X) != math.Float64bits(orig[i].X) || pairs[i].Y != orig[i].Y {
+					t.Fatalf("%s/%d: input modified at %d", name, n, i)
+				}
+			}
+			if len(got) != n {
+				t.Fatalf("%s/%d: %d pairs out", name, n, len(got))
+			}
+			// Equal X may come in any order: compare each run of equal
+			// X as a set of Ys.
+			for i := 0; i < n; {
+				j := i
+				ys := map[float64]int{}
+				for ; j < n && sameX(want[j].X, want[i].X); j++ {
+					ys[want[j].Y]++
+				}
+				for k := i; k < j; k++ {
+					if !sameX(got[k].X, want[i].X) {
+						t.Fatalf("%s/%d: X[%d] = %v, want %v", name, n, k, got[k].X, want[i].X)
+					}
+					ys[got[k].Y]--
+				}
+				for y, c := range ys {
+					if c != 0 {
+						t.Fatalf("%s/%d: pair (%v, %v) moved across X", name, n, want[i].X, y)
+					}
+				}
+				i = j
+			}
+		}
+	}
+}
+
+// sameX is X equality for the sort test: NaNs are equal, and -0
+// equals +0 as the sweep's comparisons see them.
+func sameX(a, b float64) bool { return a == b || a != a && b != b }
